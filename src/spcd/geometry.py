@@ -6,8 +6,8 @@ magnitude, signed curvature, inward unit normal), the boundary-fitted
 coordinate map (r, t) -> (x, y) along inward normals together with its
 inversion, the characteristic points where the inward normal becomes
 perpendicular to the convection direction (the x axis), the resulting
-inflow/outflow splitting of the boundary, and a polygonal winding-number
-point-in-domain test.
+inflow/outflow splitting of the boundary, and a winding-number
+point-in-domain test against the exact curve.
 
 Sign conventions: the normal returned by :func:`frame` always points into
 the domain regardless of the parameterization direction, and the signed
@@ -478,89 +478,210 @@ def theta_min(boundary, delta: float = 0.0, samples: int = 4096):
 
 # ---------------------------------------------------------------------------
 # Point-in-domain test
+#
+# The winding number of the exact curve around a point is the signed count
+# of the curve's crossings of the horizontal ray to the right of the point
+# (Hormann & Agathos, Comput. Geom. 20, 2001).  The curve is split at the
+# extrema of y(t) into pieces that are monotone in y, so each piece crosses
+# a horizontal line at most once, and every distinct query ordinate is
+# crossed by solving y(t) = y on each piece whose y-range holds it.
+
+_SCAN_SAMPLES = 8192
+_BOUNDARY_TOL = 1e-12   # times the coordinate scale: closer counts as outside
+_NEAR_SCREEN = 1e-6     # times the scale: closer gets the exact distance test
 
 
-def _polygon(boundary, vertices):
-    cache = getattr(boundary, "_polygon_cache", None)
-    if cache is None:
-        cache = {}
-        try:
-            boundary._polygon_cache = cache
-        except AttributeError:
-            pass
-    entry = cache.get(vertices)
-    if entry is None:
-        ts = np.linspace(0.0, boundary.period, vertices, endpoint=False)
-        x, y = boundary.eval(ts)
-        px = np.append(np.asarray(x, dtype=float), x[0])
-        py = np.append(np.asarray(y, dtype=float), y[0])
-        seg = np.hypot(np.diff(px), np.diff(py))
-        tree = cKDTree(np.column_stack([px[:-1], py[:-1]]))
-        entry = (px, py, tree, float(seg.max()))
-        cache[vertices] = entry
-    return entry
+def _curve(boundary, order, t):
+    """Point (order 0), first or second derivative of the curve at t mod T,
+    as float arrays shaped like t."""
+    fn = (boundary.eval, boundary.deriv1, boundary.deriv2)[order]
+    x, y = fn(np.mod(t, boundary.period))
+    return (np.broadcast_to(np.asarray(x, dtype=float), t.shape),
+            np.broadcast_to(np.asarray(y, dtype=float), t.shape))
 
 
-def _segment_distance(px, py, x, y):
-    """Exact distance from one point to the polygon (all segments)."""
-    ax, ay = px[:-1], py[:-1]
-    bx, by = px[1:], py[1:]
-    ex, ey = bx - ax, by - ay
-    ln2 = ex * ex + ey * ey
-    tproj = np.clip(((x - ax) * ex + (y - ay) * ey) / np.where(ln2 > 0, ln2, 1.0), 0.0, 1.0)
-    cx = ax + tproj * ex
-    cy = ay + tproj * ey
-    return float(np.min(np.hypot(x - cx, y - cy)))
+def _bracketed_newton(fn, lo, hi, t, tol):
+    """Vectorized Newton iteration safeguarded by bisection.
+
+    ``fn(t, idx)`` returns ``(f, f')`` at the parameters ``t`` of the
+    entries ``idx``; every bracket [lo, hi] is expected to hold a root
+    with f <= 0 at lo and f > 0 at hi, and a step that leaves the bracket
+    is replaced by bisection.  Stops per entry once a step is below
+    ``tol``; without a root an entry converges to an end of its bracket.
+    """
+    lo, hi, t = (np.array(v, dtype=float) for v in (lo, hi, t))
+    todo = np.arange(t.size)
+    for _ in range(200):
+        if todo.size == 0:
+            break
+        tk = t[todo]
+        f, fp = fn(tk, todo)
+        below = f <= 0
+        lo[todo] = np.where(below, tk, lo[todo])
+        hi[todo] = np.where(below, hi[todo], tk)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tn = tk - f / fp
+        bisect = ~((tn >= lo[todo]) & (tn <= hi[todo]))
+        tn = np.where(bisect, 0.5 * (lo[todo] + hi[todo]), tn)
+        tn = np.where(f == 0, tk, tn)
+        t[todo] = tn
+        todo = todo[np.abs(tn - tk) > tol]
+    return t
 
 
-def contains_batch(boundary, xs, ys, vertices: int = 8192, chunk: int = 512):
-    """Winding-number inside test for many points.
+class _YPieces:
+    """The curve split at the extrema of y(t) into pieces monotone in y.
 
-    The boundary is approximated by a polygon with ``vertices`` sampled
-    vertices; a point is inside when the winding number of the polygon
-    around it is nonzero.  Points within 1e-12 of the polygon are
-    classified outside, so boundary nodes never receive an equation.
+    The extrema are the sign changes of y'(t) over ``_SCAN_SAMPLES``
+    uniform samples, refined by bisection.  ``splits`` holds 0, the extrema
+    and T; ``scale`` is the largest coordinate magnitude (at least 1).
+    """
+
+    def __init__(self, boundary):
+        self.boundary = boundary
+        self.ts = np.linspace(0.0, boundary.period, _SCAN_SAMPLES + 1)
+        x, self.ys = _curve(boundary, 0, self.ts)
+        self.scale = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(self.ys))))
+        up = _curve(boundary, 1, self.ts)[1] > 0
+        k = np.nonzero(up[:-1] != up[1:])[0]
+        lo, hi, up_lo = self.ts[k], self.ts[k + 1], up[k]
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            same = (_curve(boundary, 1, mid)[1] > 0) == up_lo
+            lo = np.where(same, mid, lo)
+            hi = np.where(same, hi, mid)
+        self.extrema = 0.5 * (lo + hi)
+        self.y_extrema = _curve(boundary, 0, self.extrema)[1]
+        self.splits = np.concatenate([[0.0], self.extrema, [boundary.period]])
+
+    def crossings(self, yq):
+        """Crossings of the curve with the horizontal lines ``y = yq``.
+
+        ``yq`` is sorted and distinct.  Returns ``(row, x, direction)``:
+        the index into ``yq``, the abscissa and +1 (upward) or -1.  A piece
+        counts a line when its lower end is at or below it and its upper
+        end above it, the half-open rule of the polygon crossing test, so a
+        line through a maximum of y crosses nothing there and a line
+        through a minimum crosses twice with opposite directions.
+        """
+        rows, lo, hi, t0, sign = [], [], [], [], []
+        y_ends = _curve(self.boundary, 0, self.splits)[1]
+        for a, b, ya, yb in zip(self.splits[:-1], self.splits[1:], y_ends[:-1], y_ends[1:]):
+            if ya == yb:
+                continue
+            s = 1.0 if yb > ya else -1.0
+            r = np.arange(np.searchsorted(yq, min(ya, yb)), np.searchsorted(yq, max(ya, yb)))
+            if r.size == 0:
+                continue
+            # bracket each crossing between two samples of the piece;
+            # rounding can break monotonicity by an ulp next to an extremum
+            inner = slice(np.searchsorted(self.ts, a, "right"), np.searchsorted(self.ts, b, "left"))
+            tn = np.concatenate([[a], self.ts[inner], [b]])
+            yn = np.maximum.accumulate(s * np.concatenate([[ya], self.ys[inner], [yb]]))
+            j = np.clip(np.searchsorted(yn, s * yq[r], "right") - 1, 0, tn.size - 2)
+            w = np.clip((s * yq[r] - yn[j]) / np.maximum(yn[j + 1] - yn[j], 1e-300), 0.0, 1.0)
+            rows.append(r)
+            lo.append(tn[j])
+            hi.append(tn[j + 1])
+            t0.append(tn[j] + w * (tn[j + 1] - tn[j]))
+            sign.append(np.full(r.size, s))
+        if not rows:
+            return np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
+        rows, sign = np.concatenate(rows), np.concatenate(sign)
+        target = sign * yq[rows]
+
+        def fn(t, idx):
+            y = _curve(self.boundary, 0, t)[1]
+            return sign[idx] * y - target[idx], sign[idx] * _curve(self.boundary, 1, t)[1]
+
+        t = _bracketed_newton(fn, np.concatenate(lo), np.concatenate(hi),
+                              np.concatenate(t0), 1e-12 * self.boundary.period)
+        return rows, _curve(self.boundary, 0, t)[0], sign
+
+
+def _foot_distance(boundary, xs, ys, sampling):
+    """Distance from each point to the exact curve.
+
+    The foot parameter is seeded at the nearest point of ``sampling`` and
+    refined by bracketed Newton on (c(t) - p) . c'(t) = 0 within one
+    sample step on either side.  The result is a distance to a point of
+    the curve, so it never underestimates; it is exact when the foot lies
+    within that bracket, which holds for points near the curve.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    px, py, tree, max_seg = _polygon(boundary, vertices)
-    ax, ay = px[:-1], py[:-1]
-    bx, by = px[1:], py[1:]
+    dist, k = sampling.tree.query(np.column_stack([xs, ys]))
+    h = sampling.ts[1] - sampling.ts[0]
 
-    inside = np.zeros(xs.shape, dtype=bool)
-    for s in range(0, xs.size, chunk):
-        e = min(s + chunk, xs.size)
-        X = xs[s:e, None]
-        Y = ys[s:e, None]
-        up = (ay[None, :] <= Y) & (by[None, :] > Y)
-        dn = (ay[None, :] > Y) & (by[None, :] <= Y)
-        left = (bx - ax)[None, :] * (Y - ay[None, :]) - (X - ax[None, :]) * (by - ay)[None, :]
-        wn = (up & (left > 0)).sum(axis=1) - (dn & (left < 0)).sum(axis=1)
-        inside[s:e] = wn != 0
+    def fn(t, idx):
+        x, y = _curve(boundary, 0, t)
+        x1, y1 = _curve(boundary, 1, t)
+        x2, y2 = _curve(boundary, 2, t)
+        dx, dy = x - xs[idx], y - ys[idx]
+        return dx * x1 + dy * y1, x1 * x1 + y1 * y1 + dx * x2 + dy * y2
 
-    # near-polygon override: within 1e-12 of the polygon counts as outside
-    cand_idx = np.where(inside)[0]
-    if cand_idx.size:
-        dv, _ = tree.query(np.column_stack([xs[cand_idx], ys[cand_idx]]))
-        near = cand_idx[dv <= 0.5 * max_seg + 1e-9]
-        for j in near:
-            if _segment_distance(px, py, xs[j], ys[j]) <= 1e-12:
-                inside[j] = False
+    t = sampling.ts[k]
+    t = _bracketed_newton(fn, t - h, t + h, t, 1e-12 * boundary.period)
+    bx, by = _curve(boundary, 0, t)
+    return np.minimum(np.hypot(bx - xs, by - ys), dist)
+
+
+def _curve_sampling(boundary):
+    return _ArcSampling(boundary, (0.0, boundary.period), n=_SCAN_SAMPLES)
+
+
+def contains_batch(boundary, xs, ys):
+    """Winding-number inside test of many points against the exact curve.
+
+    A point is inside when the winding number of the curve around it is
+    nonzero.  Points within 1e-12 (times the largest coordinate magnitude
+    of the curve, at least 1) of the curve are classified outside, so
+    boundary nodes never receive an equation.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    if xs.size == 0:
+        return np.zeros(xs.shape, dtype=bool)
+    pieces = _YPieces(boundary)
+    yq, row = np.unique(ys, return_inverse=True)
+    row = row.reshape(xs.shape)
+    c_row, c_x, c_dir = pieces.crossings(yq)
+
+    # numpy orders complex numbers lexicographically, real part first, so
+    # row + 1j*x sorts and searches by (row, x) exactly
+    order = np.lexsort((c_x, c_row))
+    c_row, c_x, c_dir = c_row[order], c_x[order], c_dir[order]
+    suffix = np.append(np.cumsum(c_dir[::-1])[::-1], 0.0)
+    first = np.searchsorted(c_row, row, "left")
+    end = np.searchsorted(c_row, row, "right")
+    right = np.searchsorted(c_row + 1j * c_x, row + 1j * xs, "right")
+    inside = suffix[right] != suffix[end]
+
+    # the exact distance decides for points next to a crossing or on a
+    # line that grazes an extremum of y, where the crossings are unreliable
+    near = _NEAR_SCREEN * pieces.scale
+    gap = np.full(xs.shape, np.inf)
+    has_left = right > first
+    has_right = right < end
+    gap[has_left] = xs[has_left] - c_x[right[has_left] - 1]
+    gap[has_right] = np.minimum(gap[has_right], c_x[right[has_right]] - xs[has_right])
+    graze = np.any(np.abs(yq[:, None] - pieces.y_extrema[None, :]) <= near, axis=1)
+    check = np.nonzero(inside & ((gap <= near) | graze[row]))[0]
+    if check.size:
+        d = _foot_distance(boundary, xs[check], ys[check], _curve_sampling(boundary))
+        inside[check[d <= _BOUNDARY_TOL * pieces.scale]] = False
     return inside
 
 
-def contains(boundary, x: float, y: float, vertices: int = 8192) -> bool:
+def contains(boundary, x: float, y: float) -> bool:
     """True iff (x, y) is strictly inside the closed boundary."""
-    return bool(contains_batch(boundary, [x], [y], vertices)[0])
+    return bool(contains_batch(boundary, [x], [y])[0])
 
 
-def boundary_distance(boundary, x: float, y: float, vertices: int = 8192) -> float:
-    """Distance from a point to the sampled boundary polygon."""
-    px, py, tree, max_seg = _polygon(boundary, vertices)
-    dv, _ = tree.query([x, y])
-    if dv > max_seg:
-        return float(dv)  # vertex distance is accurate enough far away
-    return _segment_distance(px, py, float(x), float(y))
+def boundary_distance(boundary, x: float, y: float) -> float:
+    """Distance from a point to the boundary curve; exact for points near
+    the curve (see ``_foot_distance``)."""
+    return float(_foot_distance(boundary, [x], [y], _curve_sampling(boundary))[0])
 
 
 # ---------------------------------------------------------------------------

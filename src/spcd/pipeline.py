@@ -8,7 +8,6 @@ corrected global approximation evaluates to the strip interpolant inside
 the strips and to the outer interpolant elsewhere.
 """
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +118,7 @@ def solve_problem(boundary, data, N: int, config: SolveConfig = None) -> GlobalA
     """
     if config is None:
         config = SolveConfig()
-    grid = build_grid_cached(boundary, N, config.padding)
+    grid = grids.build_rect_grid(boundary, N, config.padding)
 
     system = operators.assemble_outer(grid, data)
     x, _ = linsolve.solve(system)
@@ -152,21 +151,6 @@ def solve_problem(boundary, data, N: int, config: SolveConfig = None) -> GlobalA
     locator = grids.StripLocator(boundary, arcs, config.R)
     return GlobalApproximation(grid=grid, U0=U0, strips=strips, R=config.R,
                                boundary=boundary, locator=locator)
-
-
-_GRID_CACHE = weakref.WeakKeyDictionary()
-
-
-def build_grid_cached(boundary, N, padding):
-    """Rectangle grids cached per boundary object; the inside mask is the
-    expensive part and is reused across eps sweeps."""
-    per_boundary = _GRID_CACHE.setdefault(boundary, {})
-    key = (N, padding)
-    grid = per_boundary.get(key)
-    if grid is None:
-        grid = grids.build_rect_grid(boundary, N, padding)
-        per_boundary[key] = grid
-    return grid
 
 
 def evaluate(approx: GlobalApproximation, x: float, y: float) -> float:

@@ -108,7 +108,7 @@ def test_criterion_3_monotonicity_suite():
         for eps in (1.0, 2.0**-10, 2.0**-20):
             data = replace(case.data, eps=eps)
             for N in (8, 16, 32):
-                grid = pipeline.build_grid_cached(case.boundary, N, 1e-3)
+                grid = grids.build_rect_grid(case.boundary, N, 1e-3)
                 systems = [operators.assemble_outer(grid, data)]
                 for arc in arcs:
                     mesh = grids.build_strip_mesh(case.boundary, arc, N, R, eps, data.alpha)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spcd import geometry, problems
+from spcd import geometry, grids, problems
 from spcd.geometry import FunctionBoundary, ParametricBoundary
 
 
@@ -365,6 +365,75 @@ def test_outflow_arcs_blob3_disconnected(blob3):
 # contains
 
 
+def _polar_inside(b, xs, ys):
+    """Exact inside test of a catalog domain by its polar radius."""
+    if b.swap:
+        angle = np.mod(np.arctan2(xs, ys), 2 * math.pi)
+    else:
+        angle = np.mod(np.arctan2(ys, xs), 2 * math.pi)
+    return np.hypot(xs, ys) < b.polar_radius(angle)
+
+
+def _winding_reference(b, xs, ys, vertices=8192):
+    """Brute-force winding number of the sampled polygon around each point.
+
+    Per distinct ordinate only the edges that straddle it are summed; the
+    others add zero to the winding number.  Points on the polygon are not
+    special-cased, so use lattices that keep off it.
+    """
+    t = np.linspace(0.0, b.period, vertices + 1)
+    px, py = (np.asarray(v, dtype=float) for v in b.eval(np.mod(t, b.period)))
+    ax, ay, bx, by = px[:-1], py[:-1], px[1:], py[1:]
+    inside = np.zeros(xs.shape, dtype=bool)
+    for y in np.unique(ys):
+        pts = np.nonzero(ys == y)[0]
+        up = (ay <= y) & (by > y)
+        dn = (ay > y) & (by <= y)
+        e = up | dn
+        left = ((bx[e] - ax[e])[None, :] * (y - ay[e])[None, :]
+                - (xs[pts, None] - ax[e][None, :]) * (by[e] - ay[e])[None, :])
+        wn = ((up[e] & (left > 0)).sum(axis=1) - (dn[e] & (left < 0)).sum(axis=1))
+        inside[pts] = wn != 0
+    return inside
+
+
+def _grid_nodes(b, N):
+    """Nodes of the padded rectangle grid that the solver builds."""
+    xmin, xmax, ymin, ymax = grids.bounding_box(b)
+    pad = 1e-3 * max(xmax - xmin, ymax - ymin)
+    xs = np.linspace(xmin - pad, xmax + pad, N + 1)
+    ys = np.linspace(ymin - pad, ymax + pad, N + 1)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return X.ravel(), Y.ravel()
+
+
+def _rotated_ellipse(cx, cy, a, b, phi, orientation):
+    """Ellipse with centre (cx, cy), semi-axes a, b and axis angle phi, as
+    a FunctionBoundary with exact derivatives, and its closed-form level
+    function ((u/a)^2 + (v/b)^2, below 1 strictly inside)."""
+    c, s, o = math.cos(phi), math.sin(phi), orientation
+
+    def ev(t):
+        u, v = a * np.cos(t), o * b * np.sin(t)
+        return cx + c * u - s * v, cy + s * u + c * v
+
+    def d1(t):
+        u, v = -a * np.sin(t), o * b * np.cos(t)
+        return c * u - s * v, s * u + c * v
+
+    def d2(t):
+        u, v = -a * np.cos(t), -o * b * np.sin(t)
+        return c * u - s * v, s * u + c * v
+
+    def level(x, y):
+        u = (x - cx) * c + (y - cy) * s
+        v = -(x - cx) * s + (y - cy) * c
+        return (u / a) ** 2 + (v / b) ** 2
+
+    boundary = FunctionBoundary(ev, 2 * math.pi, orientation, deriv1_fn=d1, deriv2_fn=d2)
+    return boundary, level
+
+
 def test_contains_origin_all_builtins(blob1, blob3, unit_circle):
     for b in (blob1, blob3, unit_circle, problems.omega2(BETA)):
         assert geometry.contains(b, 0.0, 0.0)
@@ -374,13 +443,26 @@ def test_contains_outside_box(blob1):
     assert not geometry.contains(blob1, 50.0, 50.0)
 
 
-def test_contains_boundary_points_are_outside(blob1):
-    # vertices of the sampled polygon lie on it and classify outside
-    K = 8192
-    for k in (0, 17, 1024, 3000, 8191):
-        t = k * blob1.period / K
-        x, y = (float(v) for v in blob1.eval(t))
-        assert not geometry.contains(blob1, x, y)
+def test_contains_boundary_points_are_outside(blob1, blob3, unit_circle):
+    # points of the true curve, among them the extrema of y, where a grid
+    # row grazes the curve; for omega3 the y' = 0 points besides pi/2 and
+    # 3pi/2 solve sin^2 t = (1 + beta)/3
+    rng = np.random.default_rng(5)
+    waist = math.asin(math.sqrt((1 + BETA) / 3))
+    cases = [
+        (blob1, [math.pi / 2, 3 * math.pi / 2]),
+        (unit_circle, [math.pi / 2, 3 * math.pi / 2]),
+        (blob3, [math.pi / 2, 3 * math.pi / 2, waist, math.pi - waist,
+                 math.pi + waist, 2 * math.pi - waist]),
+        (problems.omega2(BETA), [0.0, math.pi]),
+        (_rotated_ellipse(0.3, -1.2, 2.0, 0.5, 0.4, -1)[0], []),
+    ]
+    for b, t_ext in cases:
+        t = np.concatenate([t_ext, rng.uniform(0, b.period, 200)])
+        x, y = (np.asarray(v, dtype=float) for v in b.eval(t))
+        assert not geometry.contains_batch(b, x, y).any()
+        for k in range(len(t_ext)):
+            assert not geometry.contains(b, float(x[k]), float(y[k]))
 
 
 def test_contains_matches_radial_rule(blob1, blob3, unit_circle):
@@ -389,8 +471,7 @@ def test_contains_matches_radial_rule(blob1, blob3, unit_circle):
         xs = rng.uniform(-2, 2, 10_000)
         ys = rng.uniform(-2, 2, 10_000)
         got = geometry.contains_batch(b, xs, ys)
-        want = np.hypot(xs, ys) < b.polar_radius(np.arctan2(ys, xs))
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, _polar_inside(b, xs, ys))
 
 
 def test_contains_matches_radial_rule_swapped_axes():
@@ -399,8 +480,45 @@ def test_contains_matches_radial_rule_swapped_axes():
     xs = rng.uniform(-30, 30, 10_000)
     ys = rng.uniform(-30, 30, 10_000)
     got = geometry.contains_batch(b, xs, ys)
-    want = np.hypot(xs, ys) < b.polar_radius(np.mod(np.arctan2(xs, ys), 2 * math.pi))
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, _polar_inside(b, xs, ys))
+
+
+@pytest.mark.parametrize("problem", [1, 2, 3])
+def test_contains_grid_matches_polar_rule_n2048(problem):
+    # the 8192-vertex polygon of earlier versions put a node of problem 2
+    # that lies 3.8e-7 inside the curve outside at this size
+    b = problems.test_problem(problem, BETA).boundary
+    X, Y = _grid_nodes(b, 2048)
+    assert np.array_equal(geometry.contains_batch(b, X, Y), _polar_inside(b, X, Y))
+
+
+@pytest.mark.parametrize("beta", [BETA, 0.450227])
+@pytest.mark.parametrize("problem", [1, 2, 3])
+def test_contains_grid_matches_winding_reference(problem, beta):
+    b = problems.test_problem(problem, beta).boundary
+    for N in (64, 256):
+        X, Y = _grid_nodes(b, N)
+        assert np.array_equal(geometry.contains_batch(b, X, Y), _winding_reference(b, X, Y))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    cx=st.floats(-5, 5), cy=st.floats(-5, 5),
+    a=st.floats(0.2, 3), b=st.floats(0.2, 3), phi=st.floats(0, math.pi),
+    orientation=st.sampled_from([1, -1]),
+    nx=st.integers(2, 40), ny=st.integers(2, 40), shift=st.floats(0, 1),
+)
+def test_contains_rotated_ellipse_lattice(cx, cy, a, b, phi, orientation, nx, ny, shift):
+    boundary, level = _rotated_ellipse(cx, cy, a, b, phi, orientation)
+    r = max(a, b) * 1.1
+    hx, hy = 2 * r / nx, 2 * r / ny
+    xs = cx - r + hx * (shift + np.arange(nx))
+    ys = cy - r + hy * (shift + np.arange(ny))
+    X, Y = (v.ravel() for v in np.meshgrid(xs, ys, indexing="ij"))
+    q = level(X, Y)
+    got = geometry.contains_batch(boundary, X, Y)
+    clear = np.abs(q - 1) > 1e-9
+    assert np.array_equal(got[clear], q[clear] < 1)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -408,10 +526,21 @@ def test_contains_matches_radial_rule_swapped_axes():
 def test_contains_radial_property(x, y):
     b = problems.omega1(BETA)
     want = math.hypot(x, y) < float(b.polar_radius(math.atan2(y, x)))
-    # skip the razor-thin band around the boundary where the polygonal
-    # approximation may legitimately disagree
-    if abs(math.hypot(x, y) - float(b.polar_radius(math.atan2(y, x)))) > 1e-6:
+    # rounding decides within a few ulps of the curve
+    if abs(math.hypot(x, y) - float(b.polar_radius(math.atan2(y, x)))) > 1e-12:
         assert geometry.contains(b, x, y) == want
+
+
+def test_boundary_distance_exact_near_curve(blob1, unit_circle):
+    for d in (0.0, 1e-12, 1e-9, 1e-5, 0.05):
+        assert geometry.boundary_distance(unit_circle, 1.0 - d, 0.0) == pytest.approx(d, abs=1e-15)
+        assert geometry.boundary_distance(unit_circle, 0.0, -1.0 - d) == pytest.approx(d, abs=1e-15)
+    # offsets along the inward normal, shorter than the curvature radius
+    for t in (0.0, 0.7, math.pi / 2, 4.0):
+        for r in (1e-10, 1e-6, 0.05):
+            x, y = geometry.offset_points(blob1, np.array([r]), np.array([t]))
+            got = geometry.boundary_distance(blob1, float(x[0]), float(y[0]))
+            assert got == pytest.approx(r, rel=1e-6, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
