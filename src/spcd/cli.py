@@ -95,6 +95,10 @@ def cmd_table(args):
         fh.write(text)
     sys.stdout.write(text)
     log.info("wrote %s and %s", csv_path, txt_path)
+    failed = int(np.count_nonzero(np.isnan(table.D)))
+    if failed:
+        log.error("%d of %d table cells failed", failed, table.D.size)
+        return 1
     return 0
 
 

@@ -47,12 +47,13 @@ def solve(system, rtol: float = 1e-10, atol: float = 1e-12):
     res = float(np.max(np.abs(bs - As @ x)))
     history.append(res)
     iters = 0
-    while res > target and iters < 5:
+    # written as `not res <= target` so that a NaN residual fails too
+    while not res <= target and iters < 5:
         x = x + lu.solve(bs - As @ x)
         res = float(np.max(np.abs(bs - As @ x)))
         history.append(res)
         iters += 1
-    if res > target:
+    if not res <= target:
         raise RuntimeError(
             f"solve did not reach residual target {target:.3e}; history {history}"
         )

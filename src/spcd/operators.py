@@ -87,6 +87,22 @@ def _check_mmatrix(rows, cols, vals, n):
         raise RuntimeError("non-monotone row")
 
 
+def _coefficients(data, X, Y):
+    """a, b and f at the nodes (X, Y).  Raises ``ValueError`` naming the
+    field when a value is not finite, and when a < alpha or b < 0."""
+    fields = []
+    for name in ("a", "b", "f"):
+        v = np.asarray(getattr(data, name)(X, Y), dtype=float)
+        bad = np.count_nonzero(~np.isfinite(v))
+        if bad:
+            raise ValueError(f"{name} is not finite at {bad} of {v.size} nodes")
+        fields.append(v)
+    a, b, f = fields
+    if np.any(a < data.alpha) or np.any(b < 0):
+        raise ValueError("coefficient bound violated")
+    return a, b, f
+
+
 def assemble_outer(grid, data: ProblemData) -> SparseSystem:
     """Outer upwind system on the enclosing rectangle.
 
@@ -103,12 +119,7 @@ def assemble_outer(grid, data: ProblemData) -> SparseSystem:
     eps = data.eps
 
     ii, jj = np.where(inside)
-    xi, yj = X[ii, jj], Y[ii, jj]
-    a = np.asarray(data.a(xi, yj), dtype=float)
-    b = np.asarray(data.b(xi, yj), dtype=float)
-    f = np.asarray(data.f(xi, yj), dtype=float)
-    if np.any(a < data.alpha) or np.any(b < 0):
-        raise ValueError("coefficient bound violated")
+    a, b, f = _coefficients(data, X[ii, jj], Y[ii, jj])
 
     k = ii * n1 + jj
     west = -eps / hx**2 - a / hx
@@ -165,11 +176,7 @@ def assemble_strip(mesh, boundary, data: ProblemData, inner_bc, outer_bc: float 
     zeta_thalf = 1.0 / (tau_h[None, :] * eta_thalf)
 
     X, Y = offset_points(boundary, R2, np.broadcast_to(t[None, :], R2.shape))
-    a = np.asarray(data.a(X, Y), dtype=float)
-    b = np.asarray(data.b(X, Y), dtype=float)
-    f = np.asarray(data.f(X, Y), dtype=float)
-    if np.any(a < data.alpha) or np.any(b < 0):
-        raise ValueError("coefficient bound violated")
+    a, b, f = _coefficients(data, X, Y)
 
     h = np.diff(r)                      # h[i] = r_{i+1} - r_i
     k_t = np.diff(t)

@@ -28,6 +28,18 @@ def test_table_csv_shape(tmp_path):
     assert (tmp_path / "table.txt").exists()
 
 
+def test_table_with_every_cell_failed_exits_nonzero(tmp_path, caplog):
+    # R = 5 is wider than the strip width bound, so every solve fails
+    rc = cli.run(["table", "--problem", "1", "--R", "5", "--eps-pows", "0:4:4",
+                  "--N-pows", "3:4", "--jobs", "1", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "4 of 4 table cells failed" in caplog.text
+    lines = (tmp_path / "table.csv").read_text().strip().split("\n")
+    assert len(lines) == 1 + 4 + 2
+    assert all(line.split(",")[2] == "" for line in lines[1:])
+    assert (tmp_path / "table.txt").exists()
+
+
 def test_geometry_report(capsys):
     rc = cli.run(["geometry", "--problem", "3", "--beta", "0.5"])
     assert rc == 0

@@ -118,6 +118,14 @@ def test_singular_system_raises():
         linsolve.solve(_system(A, np.ones(4)))
 
 
+def test_nan_rhs_raises():
+    # a NaN residual fails the `res > target` test; it must not pass
+    b = np.ones(4)
+    b[1] = np.nan
+    with pytest.raises(RuntimeError, match="residual target"):
+        linsolve.solve(_system(2.0 * np.eye(4), b))
+
+
 def test_residual_is_reported():
     rng = np.random.default_rng(11)
     A = random_mmatrix(rng, 30)

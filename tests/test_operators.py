@@ -83,6 +83,17 @@ def test_outer_coefficient_bounds(circle_grid4):
         operators.assemble_outer(circle_grid4, bad_b)
 
 
+def _nan_near_origin(x, y):
+    return np.where(np.hypot(x, y) < 0.1, np.nan, 1.0)
+
+
+def test_outer_rejects_non_finite_fields(circle_grid4):
+    for name in ("a", "b", "f"):
+        data = replace(const_data(), **{name: _nan_near_origin})
+        with pytest.raises(ValueError, match=f"^{name} is not finite at 1 of"):
+            operators.assemble_outer(circle_grid4, data)
+
+
 # ---------------------------------------------------------------------------
 # strip scheme
 
@@ -159,6 +170,20 @@ def test_strip_dirichlet_rows():
         for i in range(1, 4):
             k = system.node_index(i, j)
             assert system.rhs[k] == bc[i, j]
+
+
+def test_strip_rejects_non_finite_fields():
+    mesh = _flat_mesh()
+    zero = np.zeros((mesh.r.size, mesh.t.size))
+    for name in ("a", "b", "f"):
+        data = replace(const_data(), **{name: _nan_at_wall_node})
+        with pytest.raises(ValueError, match=f"^{name} is not finite at 1 of"):
+            operators.assemble_strip(mesh, _FlatWall(), data, zero)
+
+
+def _nan_at_wall_node(x, y):
+    # the flat-wall strip maps (r, t) to (1 - r, t); spoil node (0.25, 1.5)
+    return np.where((np.abs(x - 0.75) < 1e-12) & (np.abs(y - 1.5) < 1e-12), np.nan, 1.0)
 
 
 def test_strip_callable_inner_bc():

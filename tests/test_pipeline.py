@@ -153,6 +153,21 @@ def test_zero_data_gives_zero_solution():
         assert np.abs(U1).max() == 0.0
 
 
+def _f_nan_at_origin(x, y):
+    return np.where(np.hypot(x, y) < 0.1, np.nan, 1.0)
+
+
+def test_nan_in_f_raises_instead_of_nan_solution():
+    case = _zero_case()
+    data = replace(case.data, f=_f_nan_at_origin)
+    grid = grids.build_rect_grid(case.boundary, 8, 1e-3)
+    X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    assert np.count_nonzero(grid.inside & (np.hypot(X, Y) < 0.1)) == 1
+    with pytest.raises(ValueError, match="f is not finite at 1 of"):
+        pipeline.solve_problem(case.boundary, data, 8,
+                               pipeline.SolveConfig.from_mapping(case.config))
+
+
 @pytest.fixture(scope="module")
 def solved_problem1():
     case = problems.test_problem(1, BETA)
