@@ -560,7 +560,7 @@ class _YPieces:
         ``yq`` is sorted and distinct.  Returns ``(row, x, direction)``:
         the index into ``yq``, the abscissa and +1 (upward) or -1.  A piece
         counts a line when its lower end is at or below it and its upper
-        end above it, the half-open rule of the polygon crossing test, so a
+        end above it, the half-open rule of the crossing-number test, so a
         line through a maximum of y crosses nothing there and a line
         through a minimum crosses twice with opposite directions.
         """

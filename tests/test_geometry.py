@@ -397,14 +397,11 @@ def _winding_reference(b, xs, ys, vertices=8192):
     return inside
 
 
-def _grid_nodes(b, N):
-    """Nodes of the padded rectangle grid that the solver builds."""
-    xmin, xmax, ymin, ymax = grids.bounding_box(b)
-    pad = 1e-3 * max(xmax - xmin, ymax - ymin)
-    xs = np.linspace(xmin - pad, xmax + pad, N + 1)
-    ys = np.linspace(ymin - pad, ymax + pad, N + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    return X.ravel(), Y.ravel()
+def _grid_mask(b, N):
+    """Nodes and inside mask of the rectangle grid the solver builds."""
+    grid = grids.build_rect_grid(b, N)
+    X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    return X.ravel(), Y.ravel(), grid.inside.ravel()
 
 
 def _rotated_ellipse(cx, cy, a, b, phi, orientation):
@@ -465,6 +462,20 @@ def test_contains_boundary_points_are_outside(blob1, blob3, unit_circle):
             assert not geometry.contains(b, float(x[k]), float(y[k]))
 
 
+def test_contains_points_just_off_the_curve(blob1, blob3):
+    # offsets along the inward normal resolve the crossings far below the
+    # grid spacing: +d is inside, -d outside
+    rng = np.random.default_rng(6)
+    for b in (blob1, blob3, problems.omega2(BETA),
+              _rotated_ellipse(0.3, -1.2, 2.0, 0.5, 0.4, -1)[0]):
+        t = rng.uniform(0, b.period, 200)
+        for d in (1e-10, 1e-8, 1e-6):
+            xi, yi = geometry.offset_points(b, np.full(t.size, d), t)
+            xo, yo = geometry.offset_points(b, np.full(t.size, -d), t)
+            assert geometry.contains_batch(b, xi, yi).all()
+            assert not geometry.contains_batch(b, xo, yo).any()
+
+
 def test_contains_matches_radial_rule(blob1, blob3, unit_circle):
     rng = np.random.default_rng(11)
     for b in (blob1, blob3, unit_circle):
@@ -488,8 +499,8 @@ def test_contains_grid_matches_polar_rule_n2048(problem):
     # the 8192-vertex polygon of earlier versions put a node of problem 2
     # that lies 3.8e-7 inside the curve outside at this size
     b = problems.test_problem(problem, BETA).boundary
-    X, Y = _grid_nodes(b, 2048)
-    assert np.array_equal(geometry.contains_batch(b, X, Y), _polar_inside(b, X, Y))
+    X, Y, inside = _grid_mask(b, 2048)
+    assert np.array_equal(inside, _polar_inside(b, X, Y))
 
 
 @pytest.mark.parametrize("beta", [BETA, 0.450227])
@@ -497,8 +508,8 @@ def test_contains_grid_matches_polar_rule_n2048(problem):
 def test_contains_grid_matches_winding_reference(problem, beta):
     b = problems.test_problem(problem, beta).boundary
     for N in (64, 256):
-        X, Y = _grid_nodes(b, N)
-        assert np.array_equal(geometry.contains_batch(b, X, Y), _winding_reference(b, X, Y))
+        X, Y, inside = _grid_mask(b, N)
+        assert np.array_equal(inside, _winding_reference(b, X, Y))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
