@@ -8,6 +8,7 @@ corrected global approximation evaluates to the strip interpolant inside
 the strips and to the outer interpolant elsewhere.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,26 +115,35 @@ def solve_problem(boundary, data, N: int, config: SolveConfig = None) -> GlobalA
     The outer solution is pinned to zero at every outside node; strip
     Dirichlet data on the inner edge and the arc-end columns is the outer
     interpolant at the node images, stored bit-for-bit in the strip
-    values.
+    values.  Raises ``ValueError`` before any linear solve when eps or
+    alpha is not finite and positive, or when N or R does not admit a
+    strip mesh.
     """
     if config is None:
         config = SolveConfig()
-    grid = grids.build_rect_grid(boundary, N, config.padding)
+    for name in ("eps", "alpha"):
+        value = getattr(data, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
+    # the strip meshes depend only on the geometry, N, R, eps and alpha:
+    # build them first, so that a bad N or R fails before any factorization
+    arcs = geometry.outflow_arcs(boundary)
+    theta = geometry.theta_min(boundary, config.delta_trim) if config.delta_trim > 0 else 0.0
+    meshes = [
+        grids.build_strip_mesh(boundary, arc, N, config.R, data.eps, data.alpha,
+                               c_star=config.c_star, theta=theta)
+        for arc in arcs
+    ]
+
+    grid = grids.build_rect_grid(boundary, N, config.padding)
     system = operators.assemble_outer(grid, data)
     x, _ = linsolve.solve(system)
     U0 = x.reshape(N + 1, N + 1)
     U0[~grid.inside] = 0.0
 
-    arcs = geometry.outflow_arcs(boundary)
-    theta = geometry.theta_min(boundary, config.delta_trim) if config.delta_trim > 0 else 0.0
-
     strips = []
-    for arc in arcs:
-        mesh = grids.build_strip_mesh(
-            boundary, arc, N, config.R, data.eps, data.alpha,
-            c_star=config.c_star, theta=theta,
-        )
+    for mesh in meshes:
         Rg, Tg = np.meshgrid(mesh.r, mesh.t, indexing="ij")
         X, Y = geometry.offset_points(boundary, Rg, Tg)
         bc = np.zeros_like(Rg)

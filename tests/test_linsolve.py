@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from spcd import linsolve
+import spcd
+from spcd import grids, linsolve, operators, problems
 from spcd.operators import SparseSystem
 
 
@@ -133,3 +135,36 @@ def test_residual_is_reported():
     x, rep = linsolve.solve(_system(A, b), rtol=1e-10, atol=1e-12)
     assert rep.method == "splu"
     assert rep.residual_norm <= 1e-10 * np.abs(b).max() + 1e-10  # equilibrated rows
+
+
+def test_mmatrix_factorization_beats_default_splu():
+    # problem-1 outer system: minimum degree on A + A^T without pivoting
+    # needs less fill than SuperLU's defaults (COLAMD, partial pivoting)
+    # and gives the same solution with no refinement step
+    case = problems.test_problem(1, 0.5, eps=2.0**-12)
+    grid = grids.build_rect_grid(case.boundary, 128)
+    system = operators.assemble_outer(grid, case.data)
+    x, rep = linsolve.solve(system)
+
+    A = system.matrix.tocsr()
+    row_max = np.asarray(abs(A).max(axis=1).todense()).ravel()
+    scale = np.exp2(-np.ceil(np.log2(row_max)))
+    default = splu((sp.diags(scale) @ A).tocsc())
+    assert rep.fill < default.nnz
+    assert np.abs(x - default.solve(scale * system.rhs)).max() <= 1e-12
+    assert rep.iterations == 0
+
+
+@pytest.mark.parametrize("perm", [[1, 0], [2, 3, 4, 0, 1]])
+def test_zero_diagonal_permutation_solves_exactly_or_raises(perm):
+    # no M-matrix and no usable diagonal: the public solver must either
+    # find the exact solution or raise, never return a wrong x
+    n = len(perm)
+    A = np.eye(n)[perm]
+    assert not np.diag(A).any()
+    want = np.arange(1.0, n + 1)
+    try:
+        x, _ = spcd.solve(_system(A, A @ want))
+    except RuntimeError:
+        return
+    assert np.array_equal(x, want)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spcd import geometry, grids, pipeline, problems
+from spcd import geometry, grids, linsolve, pipeline, problems
 from spcd.problems import _const_field
 
 
@@ -166,6 +166,25 @@ def test_nan_in_f_raises_instead_of_nan_solution():
     with pytest.raises(ValueError, match="f is not finite at 1 of"):
         pipeline.solve_problem(case.boundary, data, 8,
                                pipeline.SolveConfig.from_mapping(case.config))
+
+
+@pytest.mark.parametrize("field, value, N, R, message", [
+    ("eps", 0.0, 8, 0.1, "eps must be finite and > 0"),
+    ("eps", -0.01, 8, 0.1, "eps must be finite and > 0"),
+    ("eps", math.nan, 8, 0.1, "eps must be finite and > 0"),
+    ("eps", math.inf, 8, 0.1, "eps must be finite and > 0"),
+    ("alpha", 0.0, 8, 0.1, "alpha must be finite and > 0"),
+    ("eps", 1.0, 8, 5.0, "strip too wide"),
+    ("eps", 1.0, 33, 0.1, "N must be even"),
+])
+def test_bad_input_fails_before_any_solve(monkeypatch, field, value, N, R, message):
+    calls = []
+    monkeypatch.setattr(linsolve, "solve", lambda *a, **k: calls.append(a))
+    case = problems.test_problem(1, BETA)
+    data = replace(case.data, **{field: value})
+    with pytest.raises(ValueError, match=message):
+        pipeline.solve_problem(case.boundary, data, N, pipeline.SolveConfig(R=R))
+    assert calls == []
 
 
 @pytest.fixture(scope="module")
