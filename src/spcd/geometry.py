@@ -280,31 +280,21 @@ def _invert_batch(boundary, arc, r_max, xs, ys, sampling=None, maxiter=60):
     state[state == 0] = 2
     t[state == 2] = np.nan
 
-    # Evaluate the converged points and classify.
-    for k, j in enumerate(act):
-        tk = t[k]
-        if not np.isfinite(tk):
-            tk = _invert_fallback(boundary, (t0, t1), xs[j], ys[j], r_max)
-            if tk is None:
-                continue
-        bx, by, tau, kappa, n1, n2 = (v[0] for v in frame_arrays(boundary, [tk]))
-        dx, dy = xs[j] - bx, ys[j] - by
-        g = dx * n2 - dy * n1
-        rhat = dx * n1 + dy * n2
-        if abs(g) > _ROOT_TOL:
-            tk = _invert_fallback(boundary, (t0, t1), xs[j], ys[j], r_max)
-            if tk is None:
-                continue
-            bx, by, tau, kappa, n1, n2 = (v[0] for v in frame_arrays(boundary, [tk]))
-            dx, dy = xs[j] - bx, ys[j] - by
-            g = dx * n2 - dy * n1
-            rhat = dx * n1 + dy * n2
-        if abs(g) > _ROOT_TOL:
-            raise RuntimeError("inversion failed")
-        if -rtol <= rhat <= r_max + 1e-12 and t0 - ttol <= tk <= t1 + ttol:
-            found[j] = True
-            r_out[j] = min(max(rhat, 0.0), r_max)
-            t_out[j] = min(max(tk, t0), t1)
+    # Points Newton left unresolved get the scalar fallback (None: the
+    # foot lies beyond the arc ends); then classify every foot at once.
+    for k in np.nonzero(state == 2)[0]:
+        tk = _invert_fallback(boundary, (t0, t1), px[k], py[k], r_max)
+        if tk is not None:
+            t[k] = tk
+    ok = np.nonzero(np.isfinite(t))[0]
+    tk = t[ok]
+    bx, by, _, _, n1, n2 = frame_arrays(boundary, tk)
+    rhat = (px[ok] - bx) * n1 + (py[ok] - by) * n2
+    hit = (rhat >= -rtol) & (rhat <= r_max + 1e-12) & (tk >= t0 - ttol) & (tk <= t1 + ttol)
+    j = act[ok[hit]]
+    found[j] = True
+    r_out[j] = np.clip(rhat[hit], 0.0, r_max)
+    t_out[j] = np.clip(tk[hit], t0, t1)
     return found, r_out, t_out
 
 

@@ -34,14 +34,19 @@ def _case_config(case, config):
 
 
 def _solve_case(case, eps, N, config, cache=None):
+    """Solve at (eps, N) once per cache: a failed solve is cached as its
+    exception and raised again, never retried."""
+    cache = {} if cache is None else cache
     key = (eps, N)
-    if cache is not None and key in cache:
-        return cache[key]
-    data = replace(case.data, eps=eps)
-    sol = pipeline.solve_problem(case.boundary, data, N, config)
-    if cache is not None:
-        cache[key] = sol
-    return sol
+    if key not in cache:
+        data = replace(case.data, eps=eps)
+        try:
+            cache[key] = pipeline.solve_problem(case.boundary, data, N, config)
+        except (ValueError, RuntimeError) as exc:
+            cache[key] = exc
+    if isinstance(cache[key], Exception):
+        raise cache[key]
+    return cache[key]
 
 
 def _outer_strip_mask(sol, config):
@@ -100,7 +105,7 @@ def two_mesh_difference(case, eps, N, config: SolveConfig = None, _cache=None):
 
 def order_from_differences(D_coarse, D_fine):
     """log2 ratio of consecutive two-mesh differences; NaN when either
-    value is missing or the fine difference is not positive."""
+    value is missing (None or NaN) or not positive."""
     if D_coarse is None or D_fine is None:
         return math.nan
     if not (D_coarse > 0 and D_fine > 0):
@@ -132,21 +137,11 @@ class ConvergenceTable:
         p = np.full((n_eps, max(n_N - 1, 0)), np.nan)
         for i in range(n_eps):
             for k in range(n_N - 1):
-                p[i, k] = order_from_differences(
-                    None if np.isnan(D[i, k]) else D[i, k],
-                    None if np.isnan(D[i, k + 1]) else D[i, k + 1],
-                )
-        D_uniform = np.full(n_N, np.nan)
-        for k in range(n_N):
-            good = D[~np.isnan(D[:, k]), k]
-            if good.size:
-                D_uniform[k] = good.max()
+                p[i, k] = order_from_differences(D[i, k], D[i, k + 1])
+        D_uniform = np.fmax.reduce(D, axis=0, initial=np.nan)  # fmax skips NaN
         p_uniform = np.full(max(n_N - 1, 0), np.nan)
         for k in range(n_N - 1):
-            p_uniform[k] = order_from_differences(
-                None if np.isnan(D_uniform[k]) else D_uniform[k],
-                None if np.isnan(D_uniform[k + 1]) else D_uniform[k + 1],
-            )
+            p_uniform[k] = order_from_differences(D_uniform[k], D_uniform[k + 1])
         return cls(eps_list=list(eps_list), N_list=list(N_list), D=D, p=p,
                    D_uniform=D_uniform, p_uniform=p_uniform)
 
@@ -186,23 +181,31 @@ class ConvergenceTable:
         return "\n".join(lines) + "\n"
 
 
-def _cell_worker(args):
-    case, eps, N, config = args
-    try:
-        return two_mesh_difference(case, eps, N, config)
-    except (ValueError, RuntimeError) as exc:
-        return f"{type(exc).__name__}: {exc}"
+def _row_worker(args):
+    """Differences of one eps row: each N of N_list and 2*N_max is solved
+    once, and a solution is dropped after the last cell that needs it.
+    Returns D, or the error message of a failed cell, per N."""
+    case, eps, N_list, config = args
+    cache = {}
+    out = []
+    for N in N_list:
+        try:
+            out.append(two_mesh_difference(case, eps, N, config, _cache=cache))
+        except (ValueError, RuntimeError) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+        cache.pop((eps, N), None)
+    return out
 
 
 def order_table(case, eps_list, N_list, config: SolveConfig = None,
                 jobs: int = 1) -> ConvergenceTable:
     """Full (eps, N) sweep of two-mesh differences and orders.
 
-    ``N_list`` must consist of consecutive doublings.  With ``jobs > 1``
-    the cells run as independent process-pool jobs, each performing its
-    own pair of solves; results are identical for any pool size because
-    every solve is deterministic.  Failed cells are logged and excluded
-    from the uniform maxima.
+    ``N_list`` must consist of consecutive doublings.  Each eps row is one
+    task; with ``jobs > 1`` the rows run on a pool of up to ``jobs``
+    processes.  Results are identical for any pool size because every
+    solve is deterministic.  Failed cells are logged and excluded from the
+    uniform maxima.
     """
     N_list = list(N_list)
     for a, b in zip(N_list, N_list[1:]):
@@ -210,24 +213,17 @@ def order_table(case, eps_list, N_list, config: SolveConfig = None,
             raise ValueError("N list must be consecutive doublings")
     config = _case_config(case, config)
 
-    cells = [(case, eps, N, config) for eps in eps_list for N in N_list]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cell_worker, cells))
+    rows = [(case, eps, N_list, config) for eps in eps_list]
+    workers = min(jobs, len(rows))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_row_worker, rows))
     else:
-        cache = {}
-        results = []
-        for (case_, eps, N, cfg) in cells:
-            try:
-                results.append(two_mesh_difference(case_, eps, N, cfg, _cache=cache))
-            except (ValueError, RuntimeError) as exc:
-                results.append(f"{type(exc).__name__}: {exc}")
+        results = [_row_worker(row) for row in rows]
 
     D = np.full((len(eps_list), len(N_list)), np.nan)
-    it = iter(results)
-    for i, eps in enumerate(eps_list):
-        for k, N in enumerate(N_list):
-            res = next(it)
+    for i, (eps, row) in enumerate(zip(eps_list, results)):
+        for k, (N, res) in enumerate(zip(N_list, row)):
             if isinstance(res, str):
                 log.warning("cell eps=%g N=%d failed: %s", eps, N, res)
             else:

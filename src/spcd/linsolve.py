@@ -34,7 +34,8 @@ def solve(system, rtol: float = 1e-10, atol: float = 1e-12):
     2nd ed., ch. 9); pivoting would only add fill.  The residual of the
     equilibrated system is always verified, so other inputs either solve
     to the target or raise: up to five steps of iterative refinement are
-    applied before giving up.
+    applied before giving up.  A factorization that runs out of memory
+    raises ``RuntimeError`` naming the number of unknowns.
     """
     A = system.matrix.tocsr()
     b = system.rhs
@@ -52,6 +53,10 @@ def solve(system, rtol: float = 1e-10, atol: float = 1e-12):
                   options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise RuntimeError("singular system") from exc
+    except (SystemError, MemoryError) as exc:
+        # SuperLU reports running out of memory as a SystemError
+        raise RuntimeError(f"sparse LU failed on {A.shape[0]} unknowns, "
+                           f"most likely out of memory: {exc}") from exc
     x = lu.solve(bs)
     target = rtol * float(np.max(np.abs(bs)) if bs.size else 0.0) + atol
     history = []

@@ -115,16 +115,18 @@ def solve_problem(boundary, data, N: int, config: SolveConfig = None) -> GlobalA
     The outer solution is pinned to zero at every outside node; strip
     Dirichlet data on the inner edge and the arc-end columns is the outer
     interpolant at the node images, stored bit-for-bit in the strip
-    values.  Raises ``ValueError`` before any linear solve when eps or
-    alpha is not finite and positive, or when N or R does not admit a
-    strip mesh.
+    values.  Raises ``ValueError`` before any linear solve when eps,
+    alpha, R or c_star is not finite and positive, when padding is not
+    finite and nonnegative, or when N or R does not admit a strip mesh.
     """
     if config is None:
         config = SolveConfig()
-    for name in ("eps", "alpha"):
-        value = getattr(data, name)
+    for name, value in (("eps", data.eps), ("alpha", data.alpha),
+                        ("R", config.R), ("c_star", config.c_star)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    if not (math.isfinite(config.padding) and config.padding >= 0):
+        raise ValueError(f"padding must be finite and >= 0, got {config.padding!r}")
 
     # the strip meshes depend only on the geometry, N, R, eps and alpha:
     # build them first, so that a bad N or R fails before any factorization

@@ -191,6 +191,52 @@ def test_locator_batch_matches_scalar(blob1, blob1_arc):
             assert r[k] == pytest.approx(hit[1].r, abs=1e-12)
 
 
+@pytest.mark.parametrize("problem", [1, 3])
+def test_locator_inverts_offset_map(monkeypatch, problem):
+    # points built forward through offset_points: (r, t) nodes with
+    # 0 < r < R map back to their arc; points a little beyond an arc end,
+    # or at R < r < 2R, lie in no strip
+    fallback = geometry._invert_fallback
+    fallback_calls = []
+
+    def spy(*args, **kwargs):
+        fallback_calls.append(args)
+        return fallback(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_invert_fallback", spy)
+    case = problems.test_problem(problem, BETA)
+    b, R = case.boundary, case.config["R"]
+    arcs = geometry.outflow_arcs(b)
+    loc = grids.StripLocator(b, arcs, R)
+    cx, cy = b.eval(np.linspace(0.0, b.period, 1 << 16, endpoint=False))
+    for a, (t0, t1) in enumerate(arcs):
+        rr, tt = np.meshgrid(np.linspace(0.0, R, 9)[1:-1], np.linspace(t0, t1, 17)[1:-1],
+                             indexing="ij")
+        idx, r, t = loc.locate_batch(*geometry.offset_points(b, rr.ravel(), tt.ravel()))
+        assert np.all(idx == a)
+        assert np.abs(r - rr.ravel()).max() <= 1e-12
+        assert np.abs(t - tt.ravel()).max() <= 1e-12
+
+        L = t1 - t0
+        beyond = np.array([t0 - 0.06 * L, t0 - 0.02 * L, t1 + 0.02 * L, t1 + 0.06 * L])
+        rr, tt = np.meshgrid(R * np.array([0.05, 0.3, 0.7]), beyond, indexing="ij")
+        idx, _, _ = loc.locate_batch(*geometry.offset_points(b, rr.ravel(), tt.ravel()))
+        assert np.all(idx == -1)
+
+        rr, tt = np.meshgrid(R * np.array([1.05, 1.5, 1.95]), np.linspace(t0, t1, 9)[1:-1],
+                             indexing="ij")
+        xs, ys = geometry.offset_points(b, rr.ravel(), tt.ravel())
+        # sampled distance to the whole curve: these points really are
+        # farther than R from the boundary
+        dist = np.hypot(xs[:, None] - cx, ys[:, None] - cy).min(axis=1)
+        assert dist.min() > R
+        idx, _, _ = loc.locate_batch(xs, ys)
+        assert np.all(idx == -1)
+    if problem == 3:
+        # the points 6% beyond the short arcs' ends leave Newton's window
+        assert fallback_calls
+
+
 def test_blob3_three_strips():
     b = problems.omega3(BETA)
     arcs = geometry.outflow_arcs(b)

@@ -1,10 +1,11 @@
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from spcd import harness, pipeline, problems
+from spcd import harness, linsolve, pipeline, problems
 from spcd.harness import ConvergenceTable, order_from_differences
 
 
@@ -127,3 +128,82 @@ def test_order_table_sequential_matches_pool():
     par = harness.order_table(case, eps_list, N_list, jobs=2)
     assert np.array_equal(seq.D, par.D)
     assert seq.to_csv() == par.to_csv()
+
+
+# ---------------------------------------------------------------------------
+# row sweep
+
+SWEEP_EPS = [1.0, 2.0**-8]
+SWEEP_N = [8, 16, 32]
+
+
+@pytest.fixture(scope="module")
+def clean_table():
+    return harness.order_table(problems.test_problem(1, BETA), SWEEP_EPS, SWEEP_N, jobs=1)
+
+
+def _recording_solve(monkeypatch, fail_at=(), alive=None):
+    """Replace pipeline.solve_problem by a wrapper that records (eps, N)
+    per call and raises at the (eps, N) pairs in ``fail_at``.  ``alive``,
+    a list, receives per call the number of earlier solutions still
+    referenced."""
+    calls = []
+    solve = pipeline.solve_problem
+    refs = []
+
+    def wrapper(boundary, data, N, config=None):
+        calls.append((data.eps, N))
+        if alive is not None:
+            alive.append(sum(r() is not None for r in refs))
+        if (data.eps, N) in fail_at:
+            raise RuntimeError("injected failure")
+        sol = solve(boundary, data, N, config)
+        refs.append(weakref.ref(sol))
+        return sol
+
+    monkeypatch.setattr(pipeline, "solve_problem", wrapper)
+    return calls
+
+
+def test_row_sweep_solves_each_N_once(monkeypatch, clean_table):
+    alive = []
+    calls = _recording_solve(monkeypatch, alive=alive)
+    table = harness.order_table(problems.test_problem(1, BETA), SWEEP_EPS, SWEEP_N, jobs=1)
+    assert len(calls) == len(SWEEP_EPS) * (len(SWEEP_N) + 1)
+    # a row holds only the solution at N while it solves 2N
+    assert max(alive) == 1
+    assert sorted(calls) == [(eps, N) for eps in sorted(SWEEP_EPS) for N in SWEEP_N + [64]]
+    assert np.array_equal(table.D, clean_table.D)
+
+
+def test_failed_solve_is_not_retried(monkeypatch, caplog, clean_table):
+    eps = SWEEP_EPS[1]
+    calls = _recording_solve(monkeypatch, fail_at={(eps, 16)})
+    with caplog.at_level(logging.WARNING, logger="spcd.harness"):
+        table = harness.order_table(problems.test_problem(1, BETA), SWEEP_EPS, SWEEP_N, jobs=1)
+    assert calls.count((eps, 16)) == 1
+    failed = np.isnan(table.D)
+    # the cells (8, 16) and (16, 32) of that row need the failed solve
+    assert np.argwhere(failed).tolist() == [[1, 0], [1, 1]]
+    assert np.array_equal(table.D[~failed], clean_table.D[~failed])
+    messages = [r.message for r in caplog.records if "injected failure" in r.message]
+    assert len(messages) == 2
+
+
+def test_out_of_memory_fails_only_its_cells(monkeypatch, caplog, clean_table):
+    # every system at N = 16 has 17^2 unknowns; SuperLU running out of
+    # memory there must fail the cells that need N = 16, not the table
+    splu = linsolve.splu
+
+    def failing_splu(A, *args, **kwargs):
+        if A.shape[0] == 17 * 17:
+            raise SystemError("gstrf was called with invalid arguments")
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(linsolve, "splu", failing_splu)
+    with caplog.at_level(logging.WARNING, logger="spcd.harness"):
+        table = harness.order_table(problems.test_problem(1, BETA), SWEEP_EPS, SWEEP_N, jobs=1)
+    failed = np.isnan(table.D)
+    assert np.argwhere(failed).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert np.array_equal(table.D[~failed], clean_table.D[~failed])
+    assert sum("sparse LU failed on 289 unknowns" in r.message for r in caplog.records) == 4

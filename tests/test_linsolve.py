@@ -168,3 +168,18 @@ def test_zero_diagonal_permutation_solves_exactly_or_raises(perm):
     except RuntimeError:
         return
     assert np.array_equal(x, want)
+
+
+@pytest.mark.parametrize("error", [
+    SystemError("gstrf was called with invalid arguments"),
+    MemoryError(),
+])
+def test_out_of_memory_in_splu_raises_runtime_error(monkeypatch, error):
+    # SuperLU reports exhausted memory as SystemError; callers that handle
+    # RuntimeError must see it, with the size of the system named
+    def failing_splu(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(linsolve, "splu", failing_splu)
+    with pytest.raises(RuntimeError, match="sparse LU failed on 7 unknowns"):
+        linsolve.solve(_system(2.0 * np.eye(7), np.ones(7)))

@@ -176,14 +176,23 @@ def test_nan_in_f_raises_instead_of_nan_solution():
     ("alpha", 0.0, 8, 0.1, "alpha must be finite and > 0"),
     ("eps", 1.0, 8, 5.0, "strip too wide"),
     ("eps", 1.0, 33, 0.1, "N must be even"),
+    ("eps", 1.0, 8, 0.0, "R must be finite and > 0"),
+    ("eps", 1.0, 8, -0.1, "R must be finite and > 0"),
+    ("c_star", 0.0, 8, 0.1, "c_star must be finite and > 0"),
+    ("padding", math.nan, 8, 0.1, "padding must be finite and >= 0"),
 ])
 def test_bad_input_fails_before_any_solve(monkeypatch, field, value, N, R, message):
+    # field names a SolveConfig field or else a field of the problem data
     calls = []
     monkeypatch.setattr(linsolve, "solve", lambda *a, **k: calls.append(a))
     case = problems.test_problem(1, BETA)
-    data = replace(case.data, **{field: value})
+    data, config = case.data, pipeline.SolveConfig(R=R)
+    if field in pipeline.SolveConfig.__dataclass_fields__:
+        config = replace(config, **{field: value})
+    else:
+        data = replace(data, **{field: value})
     with pytest.raises(ValueError, match=message):
-        pipeline.solve_problem(case.boundary, data, N, pipeline.SolveConfig(R=R))
+        pipeline.solve_problem(case.boundary, data, N, config)
     assert calls == []
 
 
