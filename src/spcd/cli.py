@@ -67,6 +67,8 @@ def _parse_pows(text, step_allowed=True):
 
 
 def cmd_solve(args):
+    if args.resolution < 3:
+        raise ValueError(f"--resolution must be >= 3, got {args.resolution}")
     case, cfg = _case_and_config(args)
     from dataclasses import replace
     data = replace(case.data, eps=args.eps)
@@ -80,6 +82,8 @@ def cmd_solve(args):
 
 
 def cmd_table(args):
+    if args.jobs < 0:
+        raise ValueError(f"--jobs must be >= 0, got {args.jobs}")
     case, cfg = _case_and_config(args)
     eps_list = [2.0**-i for i in _parse_pows(args.eps_pows)]
     N_list = [2**j for j in _parse_pows(args.N_pows, step_allowed=False)]

@@ -207,6 +207,8 @@ def order_table(case, eps_list, N_list, config: SolveConfig = None,
     solve is deterministic.  Failed cells are logged and excluded from the
     uniform maxima.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     N_list = list(N_list)
     for a, b in zip(N_list, N_list[1:]):
         if b != 2 * a:

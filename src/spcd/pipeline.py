@@ -186,7 +186,14 @@ def evaluate(approx: GlobalApproximation, x: float, y: float) -> float:
 
 
 def dump_solution(approx: GlobalApproximation, stream, resolution: int = 101):
-    """Write 'x y u' lines over an evaluation lattice of the domain."""
+    """Write 'x y u' lines over an evaluation lattice of the domain.
+
+    The lattice has ``resolution`` points per side of the bounding box;
+    below 3 it holds at most the box corners, which lie outside the
+    domain, so that raises ``ValueError``.
+    """
+    if resolution < 3:
+        raise ValueError(f"resolution must be >= 3, got {resolution}")
     g = approx.grid
     xs = np.linspace(g.xmin, g.xmax, resolution)
     ys = np.linspace(g.ymin, g.ymax, resolution)

@@ -2,7 +2,19 @@ import os
 
 import pytest
 
-from spcd import cli
+from spcd import cli, pipeline
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = pipeline.solve_problem
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "solve_problem", counting)
+    return calls
 
 
 def test_solve_smoke(tmp_path):
@@ -96,3 +108,35 @@ def test_validate_threshold_failure(capsys):
     rc = cli.run(["validate", "--eps-list", "1", "--N-list", "16,32",
                   "--min-order", "99"])
     assert rc == 1
+
+
+def test_negative_jobs_rejected_before_any_solve(monkeypatch, tmp_path, capsys):
+    calls = _count_solves(monkeypatch)
+    rc = cli.run(["table", "--problem", "1", "--eps-pows", "0:4:4", "--N-pows", "3:4",
+                  "--jobs", "-3", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "--jobs must be >= 0" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "table.csv").exists()
+
+
+@pytest.mark.parametrize("resolution", [0, 1, 2])
+def test_resolution_below_three_rejected_before_the_solve(monkeypatch, tmp_path, capsys,
+                                                          resolution):
+    # at 2 the lattice is the four box corners, all outside the domain
+    calls = _count_solves(monkeypatch)
+    rc = cli.run(["solve", "--problem", "1", "--eps", "1e-1", "--N", "8",
+                  "--resolution", str(resolution), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "--resolution must be >= 3" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "solution.txt").exists()
+
+
+def test_resolution_three_solves_once_and_dumps_the_centre(monkeypatch, tmp_path):
+    calls = _count_solves(monkeypatch)
+    rc = cli.run(["solve", "--problem", "1", "--eps", "1e-1", "--N", "8",
+                  "--resolution", "3", "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(calls) == 1
+    assert (tmp_path / "solution.txt").read_text().strip() != ""

@@ -111,6 +111,14 @@ def test_order_table_requires_doublings():
         harness.order_table(case, [1.0], [8, 24])
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_order_table_rejects_fewer_than_one_job(monkeypatch, jobs):
+    calls = _recording_solve(monkeypatch)
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        harness.order_table(problems.test_problem(1, BETA), [1.0], [8], jobs=jobs)
+    assert calls == []
+
+
 def test_two_mesh_difference_problem1_small():
     case = problems.test_problem(1, BETA)
     cache = {}

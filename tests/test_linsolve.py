@@ -1,10 +1,13 @@
+import contextlib
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import spcd
-from spcd import grids, linsolve, operators, problems
+from spcd import grids, linsolve, operators, pipeline, problems
 from spcd.operators import SparseSystem
 
 
@@ -183,3 +186,100 @@ def test_out_of_memory_in_splu_raises_runtime_error(monkeypatch, error):
     monkeypatch.setattr(linsolve, "splu", failing_splu)
     with pytest.raises(RuntimeError, match="sparse LU failed on 7 unknowns"):
         linsolve.solve(_system(2.0 * np.eye(7), np.ones(7)))
+
+
+@functools.cache
+def _problem1_systems():
+    """The outer and the strip system of problem 1 at N = 128, eps = 2^-20,
+    where the unflushed factors hold over a thousand subnormal entries."""
+    case = problems.test_problem(1, 0.5, eps=2.0**-20)
+    systems = []
+    real_solve = linsolve.solve
+
+    def recording(system, **kwargs):
+        systems.append(system)
+        return real_solve(system, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linsolve, "solve", recording)
+        pipeline.solve_problem(case.boundary, case.data, 128,
+                               pipeline.SolveConfig.from_mapping(case.config))
+    assert len(systems) == 2
+    return tuple(systems)
+
+
+def _subnormals(lu):
+    tiny = np.finfo(float).tiny
+    return sum(int(np.count_nonzero((M.data != 0) & (np.abs(M.data) < tiny)))
+               for M in (lu.L, lu.U))
+
+
+def _mode_is_gradual():
+    # the smallest subnormal survives a multiplication only while neither
+    # flush-to-zero nor denormals-are-zero is set
+    return np.nextafter(0.0, 1.0) * 1.0 > 0
+
+
+@pytest.mark.parametrize("which", ["outer", "strip"])
+def test_flushed_factorization_gives_the_same_bits(monkeypatch, which):
+    system = _problem1_systems()[("outer", "strip").index(which)]
+    x, rep = linsolve.solve(system)
+    monkeypatch.setattr(linsolve, "_flush_subnormals", contextlib.nullcontext)
+    x_gradual, rep_gradual = linsolve.solve(system)
+    assert np.array_equal(x, x_gradual)
+    assert rep.fill == rep_gradual.fill
+
+
+@pytest.mark.skipif(linsolve._LIBM is None, reason="flush works on x86-64 Linux only")
+def test_factorization_runs_inside_the_flush(monkeypatch):
+    factors = []
+    real_splu = linsolve.splu
+
+    def capturing(*args, **kwargs):
+        lu = real_splu(*args, **kwargs)
+        factors.append(lu)
+        return lu
+
+    monkeypatch.setattr(linsolve, "splu", capturing)
+    for system in _problem1_systems():
+        linsolve.solve(system)
+        with monkeypatch.context() as mp:
+            mp.setattr(linsolve, "_flush_subnormals", contextlib.nullcontext)
+            linsolve.solve(system)
+        flushed, gradual = factors[-2:]
+        assert _subnormals(flushed) == 0
+        assert _subnormals(gradual) > 0
+
+
+def test_callers_mode_is_restored_after_return_and_raise(monkeypatch):
+    linsolve.solve(_system(2.0 * np.eye(3), np.ones(3)))
+    assert _mode_is_gradual()
+
+    zero_row = np.eye(4)
+    zero_row[2, 2] = 0.0
+    with pytest.raises(RuntimeError, match="singular system"):
+        linsolve.solve(_system(zero_row, np.ones(4)))
+    assert _mode_is_gradual()
+
+    # rank one with nonzero rows: SuperLU itself finds the zero pivot
+    with pytest.raises(RuntimeError, match="singular system"):
+        linsolve.solve(_system(np.ones((2, 2)), np.ones(2)))
+    assert _mode_is_gradual()
+
+    def failing_splu(*args, **kwargs):
+        raise SystemError("gstrf was called with invalid arguments")
+
+    monkeypatch.setattr(linsolve, "splu", failing_splu)
+    with pytest.raises(RuntimeError, match="sparse LU failed"):
+        linsolve.solve(_system(2.0 * np.eye(3), np.ones(3)))
+    assert _mode_is_gradual()
+
+
+def test_without_libm_the_flush_does_nothing(monkeypatch):
+    system = _problem1_systems()[0]
+    x, _ = linsolve.solve(system)
+    monkeypatch.setattr(linsolve, "_LIBM", None)
+    with linsolve._flush_subnormals():
+        assert _mode_is_gradual()
+    x_plain, _ = linsolve.solve(system)
+    assert np.array_equal(x, x_plain)

@@ -293,6 +293,15 @@ def test_solution_dump_format(solved_problem1):
     assert np.isfinite(u)
 
 
+@pytest.mark.parametrize("resolution", [0, 1, 2])
+def test_solution_dump_rejects_a_lattice_that_misses_the_domain(solved_problem1, resolution):
+    _, approx = solved_problem1
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="resolution must be >= 3"):
+        pipeline.dump_solution(approx, buf, resolution=resolution)
+    assert buf.getvalue() == ""
+
+
 def test_problem2_pipeline_smoke():
     # clockwise parameterization, strip width 1, curvature jump on inflow
     case = problems.test_problem(2, BETA)
