@@ -19,18 +19,16 @@ from .geometry import (
     outflow_arcs,
     theta_min,
     to_cartesian,
-    to_curvilinear,
 )
-from .grids import RectGrid, StripMesh, build_rect_grid, build_strip_mesh, strip_membership
+from .grids import RectGrid, StripMesh, build_rect_grid, build_strip_mesh
 from .harness import ConvergenceTable, order_table, two_mesh_difference
 from .linsolve import SolveReport, solve
-from .operators import ProblemData, SparseSystem, apply, assemble_outer, assemble_strip
+from .operators import ProblemData, SparseSystem, assemble_outer, assemble_strip
 from .pipeline import (
     GlobalApproximation,
     SolveConfig,
-    bilinear_eval,
-    bilinear_eval_strip,
     evaluate,
+    evaluate_many,
     solve_problem,
 )
 from .problems import TestCase, circle, manufactured_case, omega1, omega2, omega3, test_problem

@@ -39,7 +39,6 @@ def _add_common(p):
     p.add_argument("--R", type=float, default=None,
                    help="strip width (default: per-problem catalog value)")
     p.add_argument("--c-star", dest="c_star", type=float, default=2.0)
-    p.add_argument("--delta-trim", dest="delta_trim", type=float, default=0.0)
     p.add_argument("--padding", type=float, default=1e-3)
     p.add_argument("--out", default=".", help="output directory")
 
@@ -50,7 +49,6 @@ def _case_and_config(args):
     if args.R is not None:
         cfg.R = args.R
     cfg.c_star = args.c_star
-    cfg.delta_trim = args.delta_trim
     cfg.padding = args.padding
     return case, cfg
 
@@ -142,8 +140,7 @@ def cmd_validate(args):
             g = approx.grid
             X, Y = np.meshgrid(g.xs, g.ys, indexing="ij")
             sel = g.inside
-            num = np.array([pipeline.evaluate(approx, x, y)
-                            for x, y in zip(X[sel], Y[sel])])
+            num = pipeline.evaluate_many(approx, X[sel], Y[sel])
             errs.append(float(np.max(np.abs(num - exact.u(X[sel], Y[sel])))))
         print(f"eps={eps:g}: errors " + " ".join(f"{e:.3e}" for e in errs))
         for k in range(len(errs) - 1):
@@ -177,6 +174,7 @@ def _build_parser():
 
     p = sub.add_parser("geometry", help="characteristic point report")
     _add_common(p)
+    p.add_argument("--delta-trim", dest="delta_trim", type=float, default=0.0)
     p.set_defaults(func=cmd_geometry)
 
     p = sub.add_parser("validate", help="manufactured-solution convergence")

@@ -33,7 +33,6 @@ __all__ = [
     "frame",
     "frame_arrays",
     "to_cartesian",
-    "to_curvilinear",
     "find_characteristic_points",
     "outflow_arcs",
     "contains",
@@ -336,20 +335,6 @@ def _invert_fallback(boundary, arc, x, y, r_max):
     if not (t0 - ttol <= tk <= t1 + ttol):
         return None
     return tk
-
-
-def to_curvilinear(boundary, x, y, arc, r_max):
-    """Invert the normal-offset map for one point.
-
-    Looks for ``(r, t)`` with ``t`` in ``arc`` and ``0 <= r <= r_max``
-    such that the point equals the boundary point at ``t`` offset by ``r``
-    along the inward normal, to residual 1e-10.  Returns ``None`` when no
-    such pair exists (the point is not in the strip above this arc).
-    """
-    found, r, t = _invert_batch(boundary, arc, r_max, [x], [y])
-    if not found[0]:
-        return None
-    return CurvilinearPoint(r=float(r[0]), t=float(t[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -668,10 +653,12 @@ def contains(boundary, x: float, y: float) -> bool:
     return bool(contains_batch(boundary, [x], [y])[0])
 
 
-def boundary_distance(boundary, x: float, y: float) -> float:
-    """Distance from a point to the boundary curve; exact for points near
-    the curve (see ``_foot_distance``)."""
-    return float(_foot_distance(boundary, [x], [y], _curve_sampling(boundary))[0])
+def boundary_distance(boundary, xs, ys):
+    """Distance from each point to the boundary curve, shaped like ``xs``;
+    exact for points near the curve (see ``_foot_distance``)."""
+    xs = np.asarray(xs, dtype=float)
+    d = _foot_distance(boundary, xs.ravel(), np.ravel(ys), _curve_sampling(boundary))
+    return d.reshape(xs.shape)
 
 
 # ---------------------------------------------------------------------------

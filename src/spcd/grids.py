@@ -24,7 +24,6 @@ __all__ = [
     "StripLocator",
     "build_rect_grid",
     "build_strip_mesh",
-    "strip_membership",
     "dump_strip_mesh",
 ]
 
@@ -99,7 +98,6 @@ class StripMesh:
     sigma: float
     r: np.ndarray
     t: np.ndarray
-    theta: float
     alpha: float
     c_star: float
 
@@ -133,8 +131,7 @@ def strip_width_bound(boundary, arc, samples: int = 4096):
 
 
 def build_strip_mesh(boundary, arc, N: int, R: float, eps: float,
-                     alpha: float, c_star: float = 2.0,
-                     theta: float = 0.0) -> StripMesh:
+                     alpha: float, c_star: float = 2.0) -> StripMesh:
     """Shishkin strip mesh with N cells in each coordinate.
 
     N must be even; N/2 uniform cells cover [0, sigma] and N/2 cover
@@ -153,8 +150,8 @@ def build_strip_mesh(boundary, arc, N: int, R: float, eps: float,
     ])
     t = np.linspace(arc[0], arc[1], N + 1)
     return StripMesh(arc=(float(arc[0]), float(arc[1])), R=float(R),
-                     sigma=float(sigma), r=r, t=t, theta=float(theta),
-                     alpha=float(alpha), c_star=float(c_star))
+                     sigma=float(sigma), r=r, t=t, alpha=float(alpha),
+                     c_star=float(c_star))
 
 
 class StripLocator:
@@ -173,8 +170,7 @@ class StripLocator:
     def locate_batch(self, xs, ys):
         """Returns (arc_idx, r, t); arc_idx = -1 where no arc matches.
 
-        The first arc containing a point wins, matching the scalar
-        membership rule.
+        The first arc containing a point wins.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
@@ -200,11 +196,6 @@ class StripLocator:
         if idx[0] < 0:
             return None
         return int(idx[0]), CurvilinearPoint(r=float(r[0]), t=float(t[0]))
-
-
-def strip_membership(boundary, arcs, R, x, y):
-    """Scalar strip test: (arc index, CurvilinearPoint) or None."""
-    return StripLocator(boundary, arcs, R).locate(x, y)
 
 
 def dump_strip_mesh(mesh: StripMesh, boundary, stream):

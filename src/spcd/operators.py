@@ -28,7 +28,6 @@ __all__ = [
     "SparseSystem",
     "assemble_outer",
     "assemble_strip",
-    "apply",
 ]
 
 
@@ -51,11 +50,10 @@ class ProblemData:
 
 @dataclass
 class SparseSystem:
-    """Row-compressed linear system plus node bookkeeping.
+    """Row-compressed linear system on a tensor grid.
 
-    ``shape`` is the (rows, cols) layout of the underlying tensor grid and
-    ``dirichlet`` flags rows that only pin a value.  Unknown k corresponds
-    to node (i, j) = (k // shape[1], k % shape[1]).
+    ``shape`` is the (rows, cols) layout of the grid.  Unknown k
+    corresponds to node (i, j) = (k // shape[1], k % shape[1]).
     """
 
     matrix: sp.csr_matrix
@@ -65,18 +63,6 @@ class SparseSystem:
     @property
     def n(self) -> int:
         return self.rhs.size
-
-    def node_index(self, i, j):
-        return np.asarray(i) * self.shape[1] + np.asarray(j)
-
-    def dump_triplets(self, stream):
-        """Write 'row col value' triplets plus rhs for debugging."""
-        coo = self.matrix.tocoo()
-        stream.write(f"{self.n} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            stream.write(f"{r} {c} {v:.17g}\n")
-        for r, v in enumerate(self.rhs):
-            stream.write(f"rhs {r} {v:.17g}\n")
 
 
 def _check_mmatrix(rows, cols, vals, n):
@@ -253,11 +239,3 @@ def assemble_strip(mesh, boundary, data: ProblemData, inner_bc, outer_bc: float 
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n_total, n_total))
     _check_mmatrix(rows, cols, vals, n_total)
     return SparseSystem(matrix=matrix, rhs=rhs, shape=(nr + 1, nt1))
-
-
-def apply(system: SparseSystem, z) -> np.ndarray:
-    """Matrix-vector product of an assembled system."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (system.n,):
-        raise ValueError(f"vector has length {z.size}, expected {system.n}")
-    return system.matrix @ z

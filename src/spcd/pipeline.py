@@ -18,12 +18,11 @@ from . import geometry, grids, linsolve, operators
 __all__ = [
     "SolveConfig",
     "GlobalApproximation",
-    "bilinear_eval",
     "bilinear_eval_many",
-    "bilinear_eval_strip",
     "bilinear_eval_strip_many",
     "solve_problem",
     "evaluate",
+    "evaluate_many",
     "dump_solution",
 ]
 
@@ -34,7 +33,6 @@ class SolveConfig:
 
     R: float = 0.1
     c_star: float = 2.0
-    delta_trim: float = 0.0
     padding: float = 1e-3
 
     @classmethod
@@ -75,11 +73,6 @@ def bilinear_eval_many(grid, U0, xs, ys):
             + (1 - wx) * wy * U0[i, j + 1] + wx * wy * U0[i + 1, j + 1])
 
 
-def bilinear_eval(grid, U0, x: float, y: float) -> float:
-    """Tensor-product bilinear value at one point; exact at the nodes."""
-    return float(bilinear_eval_many(grid, U0, np.asarray([x]), np.asarray([y]))[0])
-
-
 def _nonuniform_weights(nodes, q):
     q = np.asarray(q, dtype=float)
     lo, hi = nodes[0], nodes[-1]
@@ -92,17 +85,12 @@ def _nonuniform_weights(nodes, q):
 
 
 def bilinear_eval_strip_many(mesh, U1, rs, ts):
-    """Vectorized bilinear interpolation on the (r, t) strip mesh."""
+    """Vectorized bilinear interpolation on the (r, t) strip mesh:
+    piecewise linear in the nonuniform r coordinate and in t."""
     i, wr = _nonuniform_weights(mesh.r, rs)
     j, wt = _nonuniform_weights(mesh.t, ts)
     return ((1 - wr) * (1 - wt) * U1[i, j] + wr * (1 - wt) * U1[i + 1, j]
             + (1 - wr) * wt * U1[i, j + 1] + wr * wt * U1[i + 1, j + 1])
-
-
-def bilinear_eval_strip(mesh, U1, r: float, t: float) -> float:
-    """Bilinear value on the strip mesh; piecewise linear in the
-    nonuniform r coordinate and in t."""
-    return float(bilinear_eval_strip_many(mesh, U1, np.asarray([r]), np.asarray([t]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +119,9 @@ def solve_problem(boundary, data, N: int, config: SolveConfig = None) -> GlobalA
     # the strip meshes depend only on the geometry, N, R, eps and alpha:
     # build them first, so that a bad N or R fails before any factorization
     arcs = geometry.outflow_arcs(boundary)
-    theta = geometry.theta_min(boundary, config.delta_trim) if config.delta_trim > 0 else 0.0
     meshes = [
         grids.build_strip_mesh(boundary, arc, N, config.R, data.eps, data.alpha,
-                               c_star=config.c_star, theta=theta)
+                               c_star=config.c_star)
         for arc in arcs
     ]
 
@@ -165,24 +152,39 @@ def solve_problem(boundary, data, N: int, config: SolveConfig = None) -> GlobalA
                                boundary=boundary, locator=locator)
 
 
-def evaluate(approx: GlobalApproximation, x: float, y: float) -> float:
-    """Corrected approximation at one point of the closed domain.
+def evaluate_many(approx: GlobalApproximation, xs, ys) -> np.ndarray:
+    """Corrected approximation at the points of 1-D arrays ``xs``, ``ys``;
+    NaN outside the closed domain.
 
-    Strip membership decides the branch; points within 1e-12 of the strip
-    inner edge use the strip side.  Raises ``ValueError`` outside the
-    domain.
+    A point takes the strip interpolant when it lies in a strip (the first
+    arc wins; within 1e-12 of the inner edge counts as in), else the outer
+    interpolant when it is inside the curve or within 1e-9 of it.
     """
-    hit = approx.locator.locate(x, y)
-    if hit is not None:
-        idx, p = hit
-        if p.r < approx.R or abs(p.r - approx.R) <= 1e-12:
-            mesh, U1 = approx.strips[idx]
-            return bilinear_eval_strip(mesh, U1, p.r, p.t)
-    if geometry.contains(approx.boundary, x, y):
-        return bilinear_eval(approx.grid, approx.U0, x, y)
-    if geometry.boundary_distance(approx.boundary, x, y) <= 1e-9:
-        return bilinear_eval(approx.grid, approx.U0, x, y)
-    raise ValueError("point outside domain")
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    vals = np.full(xs.shape, np.nan)
+    idx, r, t = approx.locator.locate_batch(xs, ys)
+    in_strip = (idx >= 0) & (r <= approx.R + 1e-12)
+    for a, (mesh, U1) in enumerate(approx.strips):
+        sel = in_strip & (idx == a)
+        vals[sel] = bilinear_eval_strip_many(mesh, U1, r[sel], t[sel])
+    rest = np.nonzero(~in_strip)[0]
+    inside = geometry.contains_batch(approx.boundary, xs[rest], ys[rest])
+    band = rest[~inside]
+    if band.size:  # the distance test builds a dense curve sample first
+        band = band[geometry.boundary_distance(approx.boundary, xs[band], ys[band]) <= 1e-9]
+    outer = np.concatenate([rest[inside], band])
+    vals[outer] = bilinear_eval_many(approx.grid, approx.U0, xs[outer], ys[outer])
+    return vals
+
+
+def evaluate(approx: GlobalApproximation, x: float, y: float) -> float:
+    """Corrected approximation at one point of the closed domain (see
+    ``evaluate_many``).  Raises ``ValueError`` outside the domain."""
+    v = float(evaluate_many(approx, [x], [y])[0])
+    if math.isnan(v):
+        raise ValueError("point outside domain")
+    return v
 
 
 def dump_solution(approx: GlobalApproximation, stream, resolution: int = 101):
@@ -195,20 +197,10 @@ def dump_solution(approx: GlobalApproximation, stream, resolution: int = 101):
     if resolution < 3:
         raise ValueError(f"resolution must be >= 3, got {resolution}")
     g = approx.grid
-    xs = np.linspace(g.xmin, g.xmax, resolution)
-    ys = np.linspace(g.ymin, g.ymax, resolution)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    keep = geometry.contains_batch(approx.boundary, X.ravel(), Y.ravel())
-    idx, r, t = approx.locator.locate_batch(X.ravel(), Y.ravel())
-    in_strip = (idx >= 0) & (r <= approx.R + 1e-12)
-    vals = np.full(X.size, np.nan)
-    outer = keep & ~in_strip
-    if outer.any():
-        vals[outer] = bilinear_eval_many(g, approx.U0, X.ravel()[outer], Y.ravel()[outer])
-    for a, (mesh, U1) in enumerate(approx.strips):
-        sel = in_strip & (idx == a)
-        if sel.any():
-            vals[sel] = bilinear_eval_strip_many(mesh, U1, r[sel], t[sel])
-    emit = keep | in_strip
-    for x, y, v in zip(X.ravel()[emit], Y.ravel()[emit], vals[emit]):
+    X, Y = np.meshgrid(np.linspace(g.xmin, g.xmax, resolution),
+                       np.linspace(g.ymin, g.ymax, resolution), indexing="ij")
+    xs, ys = X.ravel(), Y.ravel()
+    vals = evaluate_many(approx, xs, ys)
+    emit = ~np.isnan(vals)
+    for x, y, v in zip(xs[emit], ys[emit], vals[emit]):
         stream.write(f"{x:.17g} {y:.17g} {v:.17g}\n")

@@ -31,19 +31,6 @@ def _report(name, ok, detail, t0, budget):
     assert elapsed < budget, f"{name} exceeded runtime budget: {elapsed:.1f}s"
 
 
-def _nodal_values(approx, xs, ys):
-    idx, r, t = approx.locator.locate_batch(xs, ys)
-    in_strip = (idx >= 0) & (r <= approx.R + 1e-12)
-    vals = np.empty(xs.size)
-    out = ~in_strip
-    vals[out] = pipeline.bilinear_eval_many(approx.grid, approx.U0, xs[out], ys[out])
-    for a, (mesh, U1) in enumerate(approx.strips):
-        m = in_strip & (idx == a)
-        if m.any():
-            vals[m] = pipeline.bilinear_eval_strip_many(mesh, U1, r[m], t[m])
-    return vals
-
-
 def test_criterion_1_geometry_exactness():
     t0 = time.time()
     circ = problems.circle(BETA)
@@ -169,7 +156,7 @@ def test_criterion_5_manufactured_convergence():
             g = approx.grid
             X, Y = np.meshgrid(g.xs, g.ys, indexing="ij")
             sel = g.inside
-            vals = _nodal_values(approx, X[sel], Y[sel])
+            vals = pipeline.evaluate_many(approx, X[sel], Y[sel])
             errs.append(float(np.abs(vals - exact.u(X[sel], Y[sel])).max()))
         order = math.log2(errs[0] / errs[2]) / 2
         details.append(f"eps={eps:g}: order {order:.3f}")

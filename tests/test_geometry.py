@@ -108,15 +108,21 @@ def test_to_cartesian_blob1_top(blob1):
     assert (x, y) == pytest.approx((0.0, 1.4), abs=1e-12)
 
 
+def _to_curvilinear(boundary, x, y, arc, r_max):
+    """One-point inversion over one arc: the CurvilinearPoint, or None."""
+    hit = grids.StripLocator(boundary, [arc], r_max).locate(x, y)
+    return None if hit is None else hit[1]
+
+
 def test_to_curvilinear_circle_trivial(unit_circle):
-    p = geometry.to_curvilinear(unit_circle, 0.75, 0.0, (0.0, 2 * math.pi), 0.5)
+    p = _to_curvilinear(unit_circle, 0.75, 0.0, (0.0, 2 * math.pi), 0.5)
     assert p is not None
     assert p.r == pytest.approx(0.25, abs=1e-10)
     assert min(abs(p.t), abs(p.t - 2 * math.pi)) < 1e-9
 
 
 def test_to_curvilinear_not_in_strip(unit_circle):
-    assert geometry.to_curvilinear(unit_circle, 0.1, 0.0, (0.0, 2 * math.pi), 0.5) is None
+    assert _to_curvilinear(unit_circle, 0.1, 0.0, (0.0, 2 * math.pi), 0.5) is None
 
 
 def test_to_curvilinear_roundtrip(blob1):
@@ -126,7 +132,7 @@ def test_to_curvilinear_roundtrip(blob1):
     ts = rng.uniform(arc[0] + 1e-9, arc[1] - 1e-9, 1000)
     xs, ys = geometry.offset_points(blob1, rs, ts)
     for r0, t0, x, y in zip(rs, ts, xs, ys):
-        p = geometry.to_curvilinear(blob1, x, y, arc, 0.1)
+        p = _to_curvilinear(blob1, x, y, arc, 0.1)
         assert p is not None
         assert p.r == pytest.approx(r0, abs=1e-9)
         assert p.t == pytest.approx(t0, abs=1e-9)
@@ -134,7 +140,7 @@ def test_to_curvilinear_roundtrip(blob1):
 
 def test_inversion_residual(blob1):
     arc = geometry.outflow_arcs(blob1)[0]
-    p = geometry.to_curvilinear(blob1, 0.52, 0.11, arc, 0.1)
+    p = _to_curvilinear(blob1, 0.52, 0.11, arc, 0.1)
     if p is not None:
         x, y = geometry.to_cartesian(blob1, p)
         assert math.hypot(x - 0.52, y - 0.11) < 1e-10
@@ -552,6 +558,16 @@ def test_boundary_distance_exact_near_curve(blob1, unit_circle):
             x, y = geometry.offset_points(blob1, np.array([r]), np.array([t]))
             got = geometry.boundary_distance(blob1, float(x[0]), float(y[0]))
             assert got == pytest.approx(r, rel=1e-6, abs=1e-15)
+
+
+def test_boundary_distance_accepts_arrays(blob1):
+    xs = np.array([[0.0, 0.52], [1.4, -1.0]])
+    ys = np.array([[0.0, 0.11], [0.3, -1.2]])
+    got = geometry.boundary_distance(blob1, xs, ys)
+    assert got.shape == xs.shape
+    for k in np.ndindex(xs.shape):
+        assert got[k] == geometry.boundary_distance(blob1, xs[k], ys[k])
+    assert geometry.boundary_distance(blob1, [], []).shape == (0,)
 
 
 # ---------------------------------------------------------------------------

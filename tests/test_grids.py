@@ -155,7 +155,7 @@ def test_strip_mesh_requires_even_N(blob1, blob1_arc):
 def test_membership_boundary_point(blob1, blob1_arc):
     tm = 0.5 * (blob1_arc[0] + blob1_arc[1])
     x, y = (float(v[0]) for v in geometry.frame_arrays(blob1, [tm])[:2])
-    hit = grids.strip_membership(blob1, [blob1_arc], 0.1, x, y)
+    hit = grids.StripLocator(blob1, [blob1_arc], 0.1).locate(x, y)
     assert hit is not None
     idx, p = hit
     assert idx == 0
@@ -163,14 +163,14 @@ def test_membership_boundary_point(blob1, blob1_arc):
 
 
 def test_membership_origin_outside(blob1, blob1_arc):
-    assert grids.strip_membership(blob1, [blob1_arc], 0.1, 0.0, 0.0) is None
+    assert grids.StripLocator(blob1, [blob1_arc], 0.1).locate(0.0, 0.0) is None
 
 
 def test_membership_half_width(blob1, blob1_arc):
     tm = 0.5 * (blob1_arc[0] + blob1_arc[1])
     R = 0.1
     x, y = (float(v[0]) for v in geometry.offset_points(blob1, np.asarray([R / 2]), np.asarray([tm])))
-    hit = grids.strip_membership(blob1, [blob1_arc], R, x, y)
+    hit = grids.StripLocator(blob1, [blob1_arc], R).locate(x, y)
     assert hit is not None
     _, p = hit
     assert p.r == pytest.approx(R / 2, abs=1e-9)

@@ -52,7 +52,7 @@ def test_outer_annihilates_constants_without_reaction():
     data = const_data(a=1.0, b=0.0, f=0.0)
     system = operators.assemble_outer(grid, data)
     z = np.full(system.n, 4.2)
-    res = operators.apply(system, z)
+    res = system.matrix @ z
     inside = grid.inside
     core = inside.copy()
     core[1:-1, 1:-1] &= inside[:-2, 1:-1] & inside[2:, 1:-1] & inside[1:-1, :-2] & inside[1:-1, 2:]
@@ -118,10 +118,15 @@ class _FlatWall(ParametricBoundary):
         return 0 * t, 0 * t
 
 
+def _node(system, i, j):
+    """Unknown index of tensor node (i, j)."""
+    return i * system.shape[1] + j
+
+
 def _flat_mesh(nr=4, nt=4):
     return grids.StripMesh(arc=(1.0, 2.0), R=0.5, sigma=0.25,
                            r=np.linspace(0, 0.5, nr + 1), t=np.linspace(1, 2, nt + 1),
-                           theta=1.0, alpha=1.0, c_star=2.0)
+                           alpha=1.0, c_star=2.0)
 
 
 def test_strip_flat_limit_reduces_to_cartesian_stencil():
@@ -129,13 +134,13 @@ def test_strip_flat_limit_reduces_to_cartesian_stencil():
     data = const_data(a=1.0, b=1.0, f=0.0)
     system = operators.assemble_strip(mesh, _FlatWall(), data, np.zeros((5, 5)))
     hr, ht = 0.125, 0.25
-    k = system.node_index(2, 2)
+    k = _node(system, 2, 2)
     row = system.matrix.getrow(k).toarray().ravel()
     # convection speed a*n1 = -1 < 0 uses the forward difference in r
-    assert row[system.node_index(1, 2)] == pytest.approx(-1 / hr**2, abs=1e-12)
-    assert row[system.node_index(3, 2)] == pytest.approx(-1 / hr**2 - 1 / hr, abs=1e-12)
-    assert row[system.node_index(2, 1)] == pytest.approx(-1 / ht**2, abs=1e-12)
-    assert row[system.node_index(2, 3)] == pytest.approx(-1 / ht**2, abs=1e-12)
+    assert row[_node(system, 1, 2)] == pytest.approx(-1 / hr**2, abs=1e-12)
+    assert row[_node(system, 3, 2)] == pytest.approx(-1 / hr**2 - 1 / hr, abs=1e-12)
+    assert row[_node(system, 2, 1)] == pytest.approx(-1 / ht**2, abs=1e-12)
+    assert row[_node(system, 2, 3)] == pytest.approx(-1 / ht**2, abs=1e-12)
     assert row[k] == pytest.approx(2 / hr**2 + 2 / ht**2 + 1 / hr + 1.0, abs=1e-12)
 
 
@@ -162,13 +167,13 @@ def test_strip_dirichlet_rows():
     system = operators.assemble_strip(mesh, _FlatWall(), const_data(), bc)
     for i in (0, 4):
         for j in range(5):
-            k = system.node_index(i, j)
+            k = _node(system, i, j)
             row = system.matrix.getrow(k)
             assert row.nnz == 1 and row.toarray().ravel()[k] == 1.0
             assert system.rhs[k] == (0.0 if i == 0 else bc[i, j])
     for j in (0, 4):
         for i in range(1, 4):
-            k = system.node_index(i, j)
+            k = _node(system, i, j)
             assert system.rhs[k] == bc[i, j]
 
 
@@ -192,14 +197,14 @@ def test_strip_callable_inner_bc():
                                       lambda x, y: x + 10 * y)
     # inner edge r = R: cartesian image is (1 - r, t) = (0.5, t_j)
     for j, t in enumerate(mesh.t):
-        assert system.rhs[system.node_index(4, j)] == pytest.approx(0.5 + 10 * t, abs=1e-12)
+        assert system.rhs[_node(system, 4, j)] == pytest.approx(0.5 + 10 * t, abs=1e-12)
 
 
 def test_strip_curvature_radius_guard():
     b = problems.circle(1.0)
     mesh = grids.StripMesh(arc=(0.0, 1.0), R=1.5, sigma=0.75,
                            r=np.linspace(0, 1.5, 5), t=np.linspace(0, 1, 5),
-                           theta=1.0, alpha=1.0, c_star=2.0)
+                           alpha=1.0, c_star=2.0)
     with pytest.raises(ValueError, match="strip exceeds curvature radius"):
         operators.assemble_strip(mesh, b, const_data(), np.zeros((5, 5)))
 
@@ -279,13 +284,13 @@ def literal_circle_line_mismatch(N=16, R=0.1, eps=0.01, c_end=0.7):
 
 
 # ---------------------------------------------------------------------------
-# apply
+# matrix-vector products
 
 
 def test_apply_identity_rows(circle_grid4):
     system = operators.assemble_outer(circle_grid4, const_data())
     z = np.arange(system.n, dtype=float)
-    res = operators.apply(system, z)
+    res = system.matrix @ z
     outside = ~circle_grid4.inside.ravel()
     assert np.array_equal(res[outside], z[outside])
 
@@ -295,7 +300,7 @@ def test_apply_basis_vector_gives_column(circle_grid4):
     k = system.n // 2
     e = np.zeros(system.n)
     e[k] = 1.0
-    assert np.array_equal(operators.apply(system, e),
+    assert np.array_equal(system.matrix @ e,
                           system.matrix.toarray()[:, k])
 
 
@@ -307,13 +312,7 @@ def test_apply_matches_dense_product():
     dense = system.matrix.toarray()
     for _ in range(5):
         z = rng.standard_normal(system.n)
-        assert np.abs(operators.apply(system, z) - dense @ z).max() < 1e-12
-
-
-def test_apply_dimension_mismatch(circle_grid4):
-    system = operators.assemble_outer(circle_grid4, const_data())
-    with pytest.raises(ValueError):
-        operators.apply(system, np.zeros(3))
+        assert np.abs(system.matrix @ z - dense @ z).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +375,7 @@ def test_consistency_first_order():
         system = operators.assemble_outer(grid, data)
         X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
         z = u(X, Y).ravel()
-        res = operators.apply(system, z).reshape(X.shape) - Lu(X, Y)
+        res = (system.matrix @ z).reshape(X.shape) - Lu(X, Y)
         core = grid.inside.copy()
         core[1:-1, 1:-1] &= (grid.inside[:-2, 1:-1] & grid.inside[2:, 1:-1]
                              & grid.inside[1:-1, :-2] & grid.inside[1:-1, 2:])
@@ -386,11 +385,6 @@ def test_consistency_first_order():
     assert min(orders) >= 0.9
 
 
-def test_triplet_dump(circle_grid4):
-    import io
-
+def test_matrix_triplets_span_the_unknowns(circle_grid4):
     system = operators.assemble_outer(circle_grid4, const_data())
-    buf = io.StringIO()
-    system.dump_triplets(buf)
-    head = buf.getvalue().splitlines()[0].split()
-    assert int(head[0]) == system.n
+    assert system.matrix.tocoo().shape[0] == system.n

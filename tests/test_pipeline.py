@@ -36,6 +36,16 @@ def hat_interpolant(xs, ys, U, x, y):
     return float(wx @ U @ wy)
 
 
+def _bilinear(grid, U, x, y):
+    """One-point bilinear_eval_many."""
+    return float(pipeline.bilinear_eval_many(grid, U, np.asarray([x]), np.asarray([y]))[0])
+
+
+def _bilinear_strip(mesh, U, r, t):
+    """One-point bilinear_eval_strip_many."""
+    return float(pipeline.bilinear_eval_strip_many(mesh, U, np.asarray([r]), np.asarray([t]))[0])
+
+
 @pytest.fixture(scope="module")
 def circle_grid():
     return grids.build_rect_grid(problems.circle(1.0), 8, padding=0.0)
@@ -50,7 +60,7 @@ def test_bilinear_reproduces_nodes(circle_grid):
     U = rng.standard_normal((9, 9))
     for i in (0, 3, 8):
         for j in (0, 5, 8):
-            got = pipeline.bilinear_eval(circle_grid, U, circle_grid.xs[i], circle_grid.ys[j])
+            got = _bilinear(circle_grid, U, circle_grid.xs[i], circle_grid.ys[j])
             assert got == U[i, j]
 
 
@@ -59,7 +69,7 @@ def test_bilinear_cell_center(circle_grid):
     U[1, 1] = 1.0
     x = 0.5 * (circle_grid.xs[0] + circle_grid.xs[1])
     y = 0.5 * (circle_grid.ys[0] + circle_grid.ys[1])
-    assert pipeline.bilinear_eval(circle_grid, U, x, y) == pytest.approx(0.25, abs=1e-15)
+    assert _bilinear(circle_grid, U, x, y) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_bilinear_matches_hat_sum(circle_grid):
@@ -68,14 +78,14 @@ def test_bilinear_matches_hat_sum(circle_grid):
     for _ in range(50):
         x = rng.uniform(circle_grid.xmin, circle_grid.xmax)
         y = rng.uniform(circle_grid.ymin, circle_grid.ymax)
-        got = pipeline.bilinear_eval(circle_grid, U, x, y)
+        got = _bilinear(circle_grid, U, x, y)
         want = hat_interpolant(circle_grid.xs, circle_grid.ys, U, x, y)
         assert got == pytest.approx(want, abs=1e-14)
 
 
 def test_bilinear_outside_rectangle_raises(circle_grid):
     with pytest.raises(ValueError):
-        pipeline.bilinear_eval(circle_grid, np.zeros((9, 9)), 2.0, 0.0)
+        _bilinear(circle_grid, np.zeros((9, 9)), 2.0, 0.0)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -84,7 +94,7 @@ def test_bilinear_bounded_by_corners(x, y):
     grid = grids.build_rect_grid(problems.circle(1.0), 4, padding=0.0)
     rng = np.random.default_rng(2)
     U = rng.standard_normal((5, 5))
-    got = pipeline.bilinear_eval(grid, U, x, y)
+    got = _bilinear(grid, U, x, y)
     assert U.min() - 1e-12 <= got <= U.max() + 1e-12
 
 
@@ -104,7 +114,7 @@ def test_strip_bilinear_reproduces_nodes(shishkin_mesh):
     U = rng.standard_normal((9, 9))
     for i in (0, 4, 8):
         for j in (0, 2, 8):
-            got = pipeline.bilinear_eval_strip(shishkin_mesh, U, shishkin_mesh.r[i], shishkin_mesh.t[j])
+            got = _bilinear_strip(shishkin_mesh, U, shishkin_mesh.r[i], shishkin_mesh.t[j])
             assert got == U[i, j]
 
 
@@ -114,7 +124,7 @@ def test_strip_bilinear_shishkin_cell_center(shishkin_mesh):
     r = 0.5 * (shishkin_mesh.r[3] + shishkin_mesh.r[4])
     t = 0.5 * (shishkin_mesh.t[3] + shishkin_mesh.t[4])
     # direct tensor formula: the hat centered at node 3 has value 1/2
-    assert pipeline.bilinear_eval_strip(shishkin_mesh, U, r, t) == pytest.approx(0.25, abs=1e-14)
+    assert _bilinear_strip(shishkin_mesh, U, r, t) == pytest.approx(0.25, abs=1e-14)
 
 
 def test_strip_bilinear_zero_edge(shishkin_mesh):
@@ -122,7 +132,7 @@ def test_strip_bilinear_zero_edge(shishkin_mesh):
     U = rng.standard_normal((9, 9))
     U[0, :] = 0.0
     for t in np.linspace(shishkin_mesh.t[0], shishkin_mesh.t[-1], 7):
-        assert pipeline.bilinear_eval_strip(shishkin_mesh, U, 0.0, t) == 0.0
+        assert _bilinear_strip(shishkin_mesh, U, 0.0, t) == 0.0
 
 
 def test_strip_bilinear_matches_hat_sum(shishkin_mesh):
@@ -131,7 +141,7 @@ def test_strip_bilinear_matches_hat_sum(shishkin_mesh):
     for _ in range(50):
         r = rng.uniform(0, shishkin_mesh.R)
         t = rng.uniform(shishkin_mesh.t[0], shishkin_mesh.t[-1])
-        got = pipeline.bilinear_eval_strip(shishkin_mesh, U, r, t)
+        got = _bilinear_strip(shishkin_mesh, U, r, t)
         want = hat_interpolant(shishkin_mesh.r, shishkin_mesh.t, U, r, t)
         assert got == pytest.approx(want, abs=1e-14)
 
@@ -248,7 +258,7 @@ def test_outside_nodes_pinned_zero(solved_problem1):
 def test_evaluate_branches(solved_problem1):
     case, approx = solved_problem1
     # origin is far from the strip: the outer interpolant answers
-    assert pipeline.evaluate(approx, 0.0, 0.0) == pipeline.bilinear_eval(
+    assert pipeline.evaluate(approx, 0.0, 0.0) == _bilinear(
         approx.grid, approx.U0, 0.0, 0.0)
     # outflow boundary point sits on the strip r = 0 edge
     arc = geometry.outflow_arcs(case.boundary)[0]
@@ -267,8 +277,70 @@ def test_evaluate_interface_consistency(solved_problem1):
     x, y = (float(v[0]) for v in geometry.offset_points(
         approx.boundary, np.asarray([mesh.R]), np.asarray([mesh.t[j]])))
     strip_val = pipeline.evaluate(approx, x, y)
-    outer_val = pipeline.bilinear_eval(approx.grid, approx.U0, x, y)
+    outer_val = _bilinear(approx.grid, approx.U0, x, y)
     assert strip_val == pytest.approx(outer_val, abs=1e-10)
+
+
+@pytest.fixture(scope="module")
+def solved_problem3():
+    case = problems.test_problem(3, BETA)
+    data = replace(case.data, eps=1e-3)
+    cfg = pipeline.SolveConfig.from_mapping(case.config)
+    return case, pipeline.solve_problem(case.boundary, data, 32, cfg)
+
+
+def _evaluate_scalar(approx, x, y):
+    """The branch rule of the corrected approximation for one point, call
+    by call: the strip value, else the outer value inside or within 1e-9
+    of the curve, else None."""
+    hit = approx.locator.locate(x, y)
+    if hit is not None:
+        idx, p = hit
+        if p.r < approx.R or abs(p.r - approx.R) <= 1e-12:
+            mesh, U1 = approx.strips[idx]
+            return _bilinear_strip(mesh, U1, p.r, p.t)
+    if (geometry.contains(approx.boundary, x, y)
+            or geometry.boundary_distance(approx.boundary, x, y) <= 1e-9):
+        return _bilinear(approx.grid, approx.U0, x, y)
+    return None
+
+
+def _point_classes(approx):
+    """{class: (xs, ys, finite)}, with ``finite`` False for the classes
+    outside the closed domain."""
+    b, g = approx.boundary, approx.grid
+    X, Y = np.meshgrid(g.xs, g.ys, indexing="ij")
+    classes = {"inside nodes": (X[g.inside][::37], Y[g.inside][::37], True)}
+    for a, (mesh, _) in enumerate(approx.strips):
+        Rg, Tg = np.meshgrid(mesh.r[[0, 1, mesh.N // 2, mesh.N]], mesh.t[::4], indexing="ij")
+        classes[f"strip {a} nodes"] = (*geometry.offset_points(b, Rg.ravel(), Tg.ravel()), True)
+    # inflow points, where the convection (1, 0) enters: inward normal n1 > 0
+    ts = np.linspace(0.0, b.period, 64, endpoint=False)
+    x, y, _, _, n1, n2 = geometry.frame_arrays(b, ts)
+    pick = n1 > 0.1
+    x, y, n1, n2 = x[pick], y[pick], n1[pick], n2[pick]
+    for s, finite in ((5e-10, True), (-5e-10, True), (2e-9, True), (-2e-9, False)):
+        classes[f"inflow offset {s:g}"] = (x + s * n1, y + s * n2, finite)
+    classes["far"] = (np.array([3.0]), np.array([3.0]), False)
+    return classes
+
+
+@pytest.mark.parametrize("solved, n_strips", [("solved_problem1", 1), ("solved_problem3", 3)])
+def test_evaluate_many_matches_the_scalar_rule(request, solved, n_strips):
+    _, approx = request.getfixturevalue(solved)
+    assert len(approx.strips) == n_strips
+    for name, (xs, ys, finite) in _point_classes(approx).items():
+        got = pipeline.evaluate_many(approx, xs, ys)
+        want = [_evaluate_scalar(approx, x, y) for x, y in zip(xs, ys)]
+        assert np.array_equal(np.isnan(got), [w is None for w in want]), name
+        assert all(w is None or g == w for g, w in zip(got, want)), name
+        assert np.all(np.isfinite(got) == finite), name
+        for x, y, w in zip(xs, ys, want):
+            if w is None:
+                with pytest.raises(ValueError, match="outside domain"):
+                    pipeline.evaluate(approx, x, y)
+            else:
+                assert pipeline.evaluate(approx, x, y) == w
 
 
 def test_nonnegative_solution_for_nonnegative_data(solved_problem1):
@@ -333,6 +405,6 @@ def test_manufactured_convergence_small():
         g = approx.grid
         X, Y = np.meshgrid(g.xs, g.ys, indexing="ij")
         sel = g.inside
-        vals = np.array([pipeline.evaluate(approx, x, y) for x, y in zip(X[sel], Y[sel])])
+        vals = pipeline.evaluate_many(approx, X[sel], Y[sel])
         errs.append(np.abs(vals - exact.u(X[sel], Y[sel])).max())
     assert errs[1] < 0.75 * errs[0]
